@@ -71,7 +71,7 @@ TEST(Cost, StarSocialCostSum) {
 
 TEST(Cost, StarMatchesExplicitConstruction) {
   for (NodeId n : {2, 3, 5, 9, 20}) {
-    for (const GameParams params :
+    for (const GameParams& params :
          {GameParams::max(1.7, 3), GameParams::sum(0.4, 3)}) {
       std::vector<std::vector<NodeId>> lists(static_cast<std::size_t>(n));
       for (NodeId leaf = 1; leaf < n; ++leaf) {
@@ -88,7 +88,7 @@ TEST(Cost, StarMatchesExplicitConstruction) {
 
 TEST(Cost, CliqueMatchesExplicitConstruction) {
   for (NodeId n : {2, 3, 6}) {
-    for (const GameParams params :
+    for (const GameParams& params :
          {GameParams::max(0.1, 2), GameParams::sum(0.1, 2)}) {
       std::vector<std::vector<NodeId>> lists(static_cast<std::size_t>(n));
       for (NodeId u = 0; u < n; ++u) {

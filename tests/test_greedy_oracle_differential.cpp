@@ -65,7 +65,7 @@ TEST(GreedyOracleDifferential, RandomTreesBothKindsSmallK) {
     for (const GameKind kind : {GameKind::kMax, GameKind::kSum}) {
       for (const Dist k : {1, 2, 3}) {
         for (const double alpha : {0.4, 1.0, 3.0}) {
-          const GameParams params{kind, alpha, k};
+          const GameParams params{kind, alpha, k, {}};
           views += compareAllPlayers(
               g, profile, params,
               "tree/trial=" + std::to_string(trial) +
@@ -87,7 +87,7 @@ TEST(GreedyOracleDifferential, ErdosRenyiBothKinds) {
     const Graph g = profile.buildGraph();
     for (const GameKind kind : {GameKind::kMax, GameKind::kSum}) {
       for (const Dist k : {1, 2, 3}) {
-        const GameParams params{kind, 1.5, k};
+        const GameParams params{kind, 1.5, k, {}};
         compareAllPlayers(
             g, profile, params,
             "er/trial=" + std::to_string(trial) +
@@ -133,7 +133,7 @@ TEST(GreedyOracleDifferential, EqualCostTieOrdering) {
     const Graph g = profile.buildGraph();
     for (const GameKind kind : {GameKind::kMax, GameKind::kSum}) {
       for (const double alpha : {0.2, 1.0}) {
-        const GameParams params{kind, alpha, 3};
+        const GameParams params{kind, alpha, 3, {}};
         compareAllPlayers(g, profile, params,
                           "cycle/n=" + std::to_string(n) +
                               "/alpha=" + std::to_string(alpha));

@@ -32,6 +32,14 @@ struct Sweep {
   Dist k;
 };
 
+// Prints the fields: gtest_discover_tests appends this text to the
+// CTest name, and gtest's fallback (a hex dump of the object, padding
+// included) would rename the test on every relink.
+void PrintTo(const Sweep& s, std::ostream* os) {
+  *os << '(' << (s.kind == GameKind::kMax ? "max" : "sum") << ", "
+      << s.alpha << ", " << s.k << ')';
+}
+
 std::string sweepName(const ::testing::TestParamInfo<Sweep>& info) {
   const auto& s = info.param;
   std::string name = s.kind == GameKind::kMax ? "max" : "sum";
@@ -48,7 +56,7 @@ class BestResponseProperty : public ::testing::TestWithParam<Sweep> {};
 
 TEST_P(BestResponseProperty, InvariantsHoldOnRandomTrees) {
   const Sweep sweep = GetParam();
-  const GameParams params{sweep.kind, sweep.alpha, sweep.k};
+  const GameParams params{sweep.kind, sweep.alpha, sweep.k, {}};
   Rng rng(0xBEEF + static_cast<std::uint64_t>(sweep.k) * 31 +
           static_cast<std::uint64_t>(sweep.alpha * 100));
   // SumNCG search is exponential in the view size; keep its instances
@@ -131,7 +139,7 @@ class BestResponseErProperty : public ::testing::TestWithParam<Sweep> {};
 
 TEST_P(BestResponseErProperty, InvariantsHoldOnDenseGraphs) {
   const Sweep sweep = GetParam();
-  const GameParams params{sweep.kind, sweep.alpha, sweep.k};
+  const GameParams params{sweep.kind, sweep.alpha, sweep.k, {}};
   Rng rng(0xCAFE + static_cast<std::uint64_t>(sweep.k));
   const NodeId n = sweep.kind == GameKind::kMax ? 20 : 10;
   const double p = 0.3;

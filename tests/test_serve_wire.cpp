@@ -149,7 +149,7 @@ TEST(FrameCodec, EncodeRejectsOversizedPayload) {
 }
 
 TEST(FrameCodec, LeaseGrantRoundTrip) {
-  for (const LeaseGrant grant :
+  for (const LeaseGrant& grant :
        {LeaseGrant{1, {}}, LeaseGrant{7, {0}},
         LeaseGrant{123456789, {5, 6, 7, 1000000}}}) {
     const auto decoded = decodeLeaseGrant(encodeLeaseGrant(grant));
@@ -179,7 +179,7 @@ TEST(FrameCodec, WelcomeRoundTrip) {
 TEST(FrameCodec, WelcomeRejectsMalformedPayloads) {
   const std::string headerLine =
       encodeHeaderLine(ResultHeader{"grid", 1, 2, 3});
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string(""), headerLine, headerLine + "\n",
         headerLine + "\nxyz", headerLine + "\n-5",
         headerLine + "\n99999999999",  // over a day: nonsense TTL
