@@ -3,18 +3,9 @@
 #include <cstdio>
 
 #include "runtime/scenario.hpp"
-#include "stats/experiment.hpp"
 #include "support/string_util.hpp"
 
 namespace ncg::bench {
-
-std::vector<TrialOutcome> runTrials(ThreadPool& pool, const TrialSpec& spec,
-                                    int trials, std::uint64_t baseSeed,
-                                    std::size_t shardSize) {
-  return ::ncg::runTrials<TrialOutcome>(
-      pool, trials, baseSeed,
-      [&spec](int, Rng& rng) { return runTrial(spec, rng); }, shardSize);
-}
 
 std::string ciCell(const RunningStat& stat, int decimals) {
   return formatWithCi(stat.mean(), stat.ci95HalfWidth(), decimals);

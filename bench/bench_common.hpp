@@ -1,26 +1,20 @@
 // Shared machinery for the table/figure reproduction harnesses.
 //
 // Every harness runs seeded best-response-dynamics trials over a
-// parameter grid and prints paper-style rows (mean ± 95% CI). Trials are
-// sharded over a ThreadPool with one RNG stream per trial, so the printed
-// numbers are bitwise identical for any thread count. Env knobs
-// (NCG_TRIALS / NCG_SCALE / NCG_THREADS) are parsed once in
-// support/env.hpp — shared with the runtime scenario layer, which adds
-// NCG_PROCS — and the trial bodies/grids live in runtime/trial.hpp so
-// registered scenarios run exactly what the harnesses run; this header
-// re-exports both under the historical ncg::bench names.
+// parameter grid and prints paper-style rows (mean ± 95% CI), one RNG
+// stream per trial. Env knobs (NCG_TRIALS / NCG_SCALE) are parsed once
+// in support/env.hpp — shared with the runtime scenario layer — and the
+// trial bodies/grids live in runtime/trial.hpp so registered scenarios
+// run exactly what the harnesses run; this header re-exports both under
+// the historical ncg::bench names.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "runtime/trial.hpp"
 #include "stats/accumulator.hpp"
 #include "support/env.hpp"
-#include "support/random.hpp"
 
 namespace ncg::bench {
 
@@ -37,13 +31,6 @@ using runtime::alphaGrid;
 /// The k grid of §5.1 (reduced unless NCG_SCALE=1); 1000 = full view.
 using runtime::kGrid;
 
-/// Runs `trials` seeded trials of a spec, sharded over the pool; results
-/// in trial order (bitwise deterministic for a given baseSeed, whatever
-/// the pool size or shard size).
-std::vector<TrialOutcome> runTrials(ThreadPool& pool, const TrialSpec& spec,
-                                    int trials, std::uint64_t baseSeed,
-                                    std::size_t shardSize = 0);
-
 /// Accumulates f(outcome) over converged trials.
 template <typename F>
 RunningStat statOver(const std::vector<TrialOutcome>& outcomes, F&& f) {
@@ -56,10 +43,6 @@ RunningStat statOver(const std::vector<TrialOutcome>& outcomes, F&& f) {
 
 /// NCG_TRIALS (default 8, paper used 20).
 inline int trialsFromEnv() { return env::trials(); }
-
-/// NCG_THREADS (default 0 = one worker per hardware thread); pass the
-/// result to the ThreadPool constructor.
-inline std::size_t threadsFromEnv() { return env::threads(); }
 
 /// True when NCG_SCALE=1 requests the paper's full grids.
 inline bool fullScale() { return env::fullScale(); }

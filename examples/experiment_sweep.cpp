@@ -9,53 +9,35 @@
 #include "core/cost.hpp"
 #include "dynamics/round_robin.hpp"
 #include "gen/random_tree.hpp"
-#include "parallel/thread_pool.hpp"
 #include "stats/accumulator.hpp"
-#include "stats/experiment.hpp"
 #include "support/random.hpp"
 
 using namespace ncg;
-
-namespace {
-
-struct Row {
-  double alpha;
-  Dist k;
-  double quality;
-  double rounds;
-  double avgView;
-  int converged;
-  int trials;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const NodeId n = argc > 1 ? std::atoi(argv[1]) : 50;
   const int trials = argc > 2 ? std::atoi(argv[2]) : 8;
 
-  ThreadPool pool;
   std::printf("alpha,k,quality,rounds,avg_view,converged,trials\n");
 
   for (const Dist k : {2, 3, 5, 1000}) {
     for (const double alpha : {0.5, 1.0, 2.0, 5.0}) {
       const GameParams params = GameParams::max(alpha, k);
-      const auto outcomes = runTrials<DynamicsResult>(
-          pool, trials,
-          deriveSeed(0x5EEDULL, static_cast<std::uint64_t>(k * 1000 +
-                                                           alpha * 10)),
-          [&](int, Rng& rng) {
-            const Graph tree = makeRandomTree(n, rng);
-            DynamicsConfig config;
-            config.params = params;
-            return runBestResponseDynamics(
-                StrategyProfile::randomOwnership(tree, rng), config);
-          });
+      const std::uint64_t baseSeed = deriveSeed(
+          0x5EEDULL, static_cast<std::uint64_t>(k * 1000 + alpha * 10));
       RunningStat quality;
       RunningStat rounds;
       RunningStat view;
       int converged = 0;
-      for (const DynamicsResult& r : outcomes) {
+      for (int trial = 0; trial < trials; ++trial) {
+        // Trial t runs on stream deriveSeed(baseSeed, t), whatever else
+        // runs before it.
+        Rng rng(deriveSeed(baseSeed, static_cast<std::uint64_t>(trial)));
+        const Graph tree = makeRandomTree(n, rng);
+        DynamicsConfig config;
+        config.params = params;
+        const DynamicsResult r = runBestResponseDynamics(
+            StrategyProfile::randomOwnership(tree, rng), config);
         if (r.outcome != DynamicsOutcome::kConverged) continue;
         ++converged;
         const NetworkFeatures f =

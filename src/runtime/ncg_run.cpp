@@ -9,12 +9,14 @@
 //       Run a scenario and print its rendering (for the ported legacy
 //       scenarios: byte-identical to the original bench harness).
 //       Options:
-//         --procs=N        worker processes (default $NCG_PROCS, then 1)
+//         --procs=N        worker processes (default $NCG_PROCS, then the
+//                          core count); 1 runs the units sequentially
+//                          in this process, N > 1 forks N workers that
+//                          each claim one unit at a time
 //         --checkpoint=P   JSONL manifest; an interrupted run resumes
 //                          from it with bitwise-identical final results
 //         --format=F       stdout format: legacy (default), jsonl, csv
 //         --out=P          additionally write JSONL results to file P
-//         --shard-size=N   units per worker shard (default: heuristic)
 //         --max-units=N    stop after N new trials (testing hook that
 //                          simulates a mid-grid kill; exits 0 with a
 //                          resume hint on stderr)
@@ -68,8 +70,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s list\n"
                "       %s run <scenario> [--procs=N] [--checkpoint=PATH]\n"
-               "           [--format=legacy|jsonl|csv] [--out=PATH]\n"
-               "           [--shard-size=N] [--max-units=N]\n"
+               "           [--format=legacy|jsonl|csv] [--out=PATH] [--max-units=N]\n"
                "           [--durability=flush|fsync[:N]]\n"
                "           [--timings] [--timings-out=PATH]\n"
                "       %s run <scenario> --connect=ADDR [--retry-budget=N]\n"
@@ -249,12 +250,6 @@ int main(int argc, char** argv) {
           localOptions = true;
         } else if (keyValue(arg, "--out=", value)) {
           outPath = value;
-          localOptions = true;
-        } else if (keyValue(arg, "--shard-size=", value)) {
-          if (!flagInt("--shard-size", value, 1, parsed)) {
-            return usage(argv[0]);
-          }
-          options.shardSize = static_cast<std::size_t>(parsed);
           localOptions = true;
         } else if (keyValue(arg, "--max-units=", value)) {
           if (!flagInt("--max-units", value, 0, parsed)) {

@@ -1,19 +1,20 @@
 #include "runtime/runner.hpp"
 
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <mutex>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/result_io.hpp"
 #include "runtime/timing.hpp"
@@ -31,11 +32,49 @@ struct Unit {
   int trial = 0;
 };
 
-TrialRecord computeUnit(const Scenario& scenario,
-                        const std::vector<ScenarioPoint>& points,
-                        const Unit& unit) {
-  return computeScenarioUnit(scenario, points, unit.point, unit.trial);
+/// A computed unit with its wall-clock timing on the run's clock.
+struct TimedRecord {
+  TrialRecord record;
+  UnitTiming timing;
+};
+
+TimedRecord computeTimed(const Scenario& scenario,
+                         const std::vector<ScenarioPoint>& points,
+                         const Unit& unit, Clock& clock,
+                         std::uint64_t worker) {
+  const std::int64_t startUs = clock.nowUs();
+  TrialRecord record =
+      computeScenarioUnit(scenario, points, unit.point, unit.trial);
+  const UnitTiming timing{unit.point, unit.trial, startUs,
+                          clock.nowUs() - startUs, worker};
+  return {std::move(record), timing};
 }
+
+/// The index of the next unclaimed unit, shared by every forked worker:
+/// it lives in an anonymous MAP_SHARED mapping, which fork() keeps
+/// shared, and a lock-free atomic is address-free, so fetch_add is
+/// atomic across the processes. One claim is one unit, so a slow unit
+/// holds up only the worker that runs it.
+class UnitCounter {
+ public:
+  UnitCounter() {
+    void* memory = ::mmap(nullptr, sizeof(Counter), PROT_READ | PROT_WRITE,
+                          MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (memory == MAP_FAILED) throw Error("mmap() of the unit counter failed");
+    next_ = new (memory) Counter(0);
+  }
+  ~UnitCounter() { ::munmap(next_, sizeof(Counter)); }
+  UnitCounter(const UnitCounter&) = delete;
+  UnitCounter& operator=(const UnitCounter&) = delete;
+
+  std::size_t claim() { return next_->fetch_add(1, std::memory_order_relaxed); }
+
+ private:
+  using Counter = std::atomic<std::size_t>;
+  static_assert(Counter::is_always_lock_free,
+                "the unit counter is shared across processes");
+  Counter* next_ = nullptr;
+};
 
 void writeAll(int fd, const char* data, std::size_t size) {
   std::size_t written = 0;
@@ -49,36 +88,24 @@ void writeAll(int fd, const char* data, std::size_t size) {
   }
 }
 
-/// Body of a forked worker: compute every unit of the shards assigned
-/// to worker `workerIndex` (shard s goes to worker s % workers) and
-/// stream one JSON line per result — followed, when timing, by one
+/// Body of forked worker `workerIndex`: claim units until none is left
+/// and stream one JSON line per result — followed, when timing, by one
 /// timing line for the same unit. Timing lines share the pipe but the
 /// parent routes them to the sidecar, never the manifest. Returns the
 /// exit code.
 int workerBody(const Scenario& scenario,
                const std::vector<ScenarioPoint>& points,
-               const std::vector<Unit>& units, std::size_t shardSize,
-               std::size_t workers, std::size_t workerIndex, int fd,
-               bool recordTimings, Clock& clock) {
+               const std::vector<Unit>& units, UnitCounter& counter,
+               std::size_t workerIndex, int fd, bool recordTimings,
+               Clock& clock) {
   try {
-    const std::size_t shardCount = (units.size() + shardSize - 1) / shardSize;
-    for (std::size_t shard = workerIndex; shard < shardCount;
-         shard += workers) {
-      const std::size_t begin = shard * shardSize;
-      const std::size_t end = std::min(units.size(), begin + shardSize);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int64_t startUs = clock.nowUs();
-        const TrialRecord record = computeUnit(scenario, points, units[i]);
-        const std::int64_t durationUs = clock.nowUs() - startUs;
-        std::string line = encodeTrialLine(record) + "\n";
-        if (recordTimings) {
-          line += encodeTimingLine({record.point, record.trial, startUs,
-                                    durationUs,
-                                    static_cast<std::uint64_t>(workerIndex)});
-          line += "\n";
-        }
-        writeAll(fd, line.data(), line.size());
-      }
+    for (std::size_t i = counter.claim(); i < units.size();
+         i = counter.claim()) {
+      const TimedRecord done = computeTimed(scenario, points, units[i], clock,
+                                            workerIndex);
+      std::string line = encodeTrialLine(done.record) + "\n";
+      if (recordTimings) line += encodeTimingLine(done.timing) + "\n";
+      writeAll(fd, line.data(), line.size());
     }
     return 0;
   } catch (const std::exception& e) {
@@ -93,6 +120,47 @@ struct WorkerHandle {
   int fd = -1;           ///< read end of the result pipe
   std::string buffer;    ///< partial-line carry-over
   bool open = false;
+};
+
+/// Every worker forked so far. Until reap() has run, the destructor
+/// closes the open read ends — a worker's next write then fails and it
+/// exits — and waits for every child, so no failure path leaves a
+/// child behind: not a demux error, and not a pipe() or fork() failure
+/// half-way through forking.
+struct Workers {
+  std::vector<WorkerHandle> handles;
+  bool reaped = false;
+
+  Workers() = default;
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+  ~Workers() {
+    if (!reaped) (void)reap();
+  }
+
+  /// Closes every open read end and waits for every child; true when
+  /// each one exited 0.
+  bool reap() {
+    reaped = true;
+    for (WorkerHandle& h : handles) {
+      if (h.open) {
+        ::close(h.fd);
+        h.open = false;
+      }
+    }
+    bool clean = true;
+    for (const WorkerHandle& h : handles) {
+      int status = 0;
+      pid_t waited = 0;
+      do {
+        waited = ::waitpid(h.pid, &status, 0);
+      } while (waited < 0 && errno == EINTR);
+      if (waited < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        clean = false;
+      }
+    }
+    return clean;
+  }
 };
 
 void drainLines(WorkerHandle& worker, ScenarioResults& results,
@@ -123,66 +191,48 @@ void drainLines(WorkerHandle& worker, ScenarioResults& results,
 
 void runForked(const Scenario& scenario,
                const std::vector<ScenarioPoint>& points,
-               const std::vector<Unit>& units, std::size_t shardSize,
-               int procs, ScenarioResults& results, CheckpointWriter& writer,
+               const std::vector<Unit>& units, int procs,
+               ScenarioResults& results, CheckpointWriter& writer,
                std::size_t& unitsRun, bool recordTimings, Clock& clock,
                std::vector<UnitTiming>& timings, TimingWriter& timingWriter) {
-  const std::size_t shardCount = (units.size() + shardSize - 1) / shardSize;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(procs), shardCount);
+  const std::size_t workerCount =
+      std::min<std::size_t>(static_cast<std::size_t>(procs), units.size());
+  UnitCounter counter;
 
   // fork() duplicates stdio buffers; flush so no worker can replay
   // buffered parent output.
   std::fflush(nullptr);
 
-  std::vector<WorkerHandle> handles;
-  handles.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
+  Workers workers;
+  workers.handles.reserve(workerCount);
+  for (std::size_t w = 0; w < workerCount; ++w) {
     int fds[2];
     if (::pipe(fds) != 0) throw Error("pipe() failed");
     const pid_t pid = ::fork();
-    if (pid < 0) throw Error("fork() failed");
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      throw Error("fork() failed");
+    }
     if (pid == 0) {
       // Child: keep only the write end of its own pipe.
       ::close(fds[0]);
-      for (const WorkerHandle& h : handles) ::close(h.fd);
-      const int code = workerBody(scenario, points, units, shardSize,
-                                  workers, w, fds[1], recordTimings, clock);
+      for (const WorkerHandle& h : workers.handles) ::close(h.fd);
+      const int code = workerBody(scenario, points, units, counter, w,
+                                  fds[1], recordTimings, clock);
       ::close(fds[1]);
       ::_exit(code);
     }
     ::close(fds[1]);
-    handles.push_back({pid, fds[0], std::string(), true});
+    workers.handles.push_back({pid, fds[0], std::string(), true});
   }
 
   // Demultiplex result lines as they arrive; placement is by (point,
-  // trial) index, so arrival order cannot affect the results. On any
-  // demux failure the workers must still be reaped — closing the read
-  // ends makes their writes fail, so waitpid cannot hang.
-  const auto reapAll = [&handles] {
-    for (WorkerHandle& h : handles) {
-      if (h.open) {
-        ::close(h.fd);
-        h.open = false;
-      }
-    }
-    for (const WorkerHandle& h : handles) {
-      int status = 0;
-      (void)::waitpid(h.pid, &status, 0);
-    }
-  };
-  struct Reaper {
-    const decltype(reapAll)& reap;
-    bool armed = true;
-    ~Reaper() {
-      if (armed) reap();
-    }
-  } reaper{reapAll};
-
+  // trial) index, so arrival order cannot affect the results.
   std::vector<pollfd> pollSet;
   for (;;) {
     pollSet.clear();
-    for (const WorkerHandle& h : handles) {
+    for (const WorkerHandle& h : workers.handles) {
       if (h.open) pollSet.push_back({h.fd, POLLIN, 0});
     }
     if (pollSet.empty()) break;
@@ -194,7 +244,7 @@ void runForked(const Scenario& scenario,
     for (const pollfd& p : pollSet) {
       if ((p.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       WorkerHandle* worker = nullptr;
-      for (WorkerHandle& h : handles) {
+      for (WorkerHandle& h : workers.handles) {
         if (h.open && h.fd == p.fd) worker = &h;
       }
       if (worker == nullptr) continue;
@@ -214,14 +264,8 @@ void runForked(const Scenario& scenario,
     }
   }
 
-  reaper.armed = false;
-  bool failed = false;
-  for (const WorkerHandle& h : handles) {
-    int status = 0;
-    if (::waitpid(h.pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      failed = true;
-    }
+  bool failed = !workers.reap();
+  for (const WorkerHandle& h : workers.handles) {
     if (!h.buffer.empty()) failed = true;  // torn final line
   }
   NCG_REQUIRE(!failed, "a scenario worker process failed");
@@ -376,50 +420,25 @@ RunReport runScenario(const Scenario& scenario, const RunOptions& options) {
     units.resize(options.maxUnits);
   }
 
-  const int procs =
-      options.procs > 0 ? options.procs : std::max(env::procs(), 1);
-
-  if (!units.empty()) {
-    if (procs <= 1) {
-      // Single process: shard over an NCG_THREADS thread pool, exactly
-      // like the legacy harnesses' in-process trial runner. Results
-      // are placed by (point, trial) slot, so the thread count cannot
-      // change them; the lock only serializes bookkeeping and the
-      // checkpoint append.
-      ThreadPool pool(env::threads());
-      std::mutex mutex;
-      parallelFor(
-          pool, units.size(),
-          [&](std::size_t i) {
-            const std::int64_t startUs =
-                options.recordTimings ? clock.nowUs() : 0;
-            const TrialRecord record = computeUnit(scenario, grid, units[i]);
-            const std::int64_t durationUs =
-                options.recordTimings ? clock.nowUs() - startUs : 0;
-            const std::scoped_lock lock(mutex);
-            report.results.record(record);
-            writer.append(record);
-            ++report.unitsRun;
-            if (options.recordTimings) {
-              const UnitTiming timing{record.point, record.trial, startUs,
-                                      durationUs, 0};
-              report.timings.push_back(timing);
-              timingWriter.append(timing);
-            }
-          },
-          options.shardSize);
-    } else {
-      const std::size_t shardSize =
-          options.shardSize > 0
-              ? options.shardSize
-              : defaultGrain(units.size(), static_cast<std::size_t>(procs));
-      runForked(scenario, grid, units, shardSize, procs, report.results,
-                writer, report.unitsRun, options.recordTimings, clock,
-                report.timings, timingWriter);
-      NCG_REQUIRE(report.unitsRun == units.size(),
-                  "workers returned " << report.unitsRun << " of "
-                                      << units.size() << " expected results");
+  const int procs = options.procs > 0 ? options.procs : env::procs();
+  if (procs <= 1) {
+    for (const Unit& unit : units) {
+      const TimedRecord done = computeTimed(scenario, grid, unit, clock, 0);
+      report.results.record(done.record);
+      writer.append(done.record);
+      ++report.unitsRun;
+      if (options.recordTimings) {
+        report.timings.push_back(done.timing);
+        timingWriter.append(done.timing);
+      }
     }
+  } else if (!units.empty()) {
+    runForked(scenario, grid, units, procs, report.results, writer,
+              report.unitsRun, options.recordTimings, clock, report.timings,
+              timingWriter);
+    NCG_REQUIRE(report.unitsRun == units.size(),
+                "workers returned " << report.unitsRun << " of "
+                                    << units.size() << " expected results");
   }
 
   report.complete = report.results.complete();

@@ -1,18 +1,18 @@
-// Multi-process sharded scenario executor.
+// The local scenario executor.
 //
 // runScenario() enumerates a scenario's (point, trial) units, subtracts
-// whatever a checkpoint manifest already holds, and computes the rest —
-// in-process when procs == 1, otherwise on fork()ed workers. Units are
-// grouped into contiguous shards (the same shard math the in-process
-// trial runner uses, parallel/parallel_for.hpp:defaultGrain) and shards
-// are assigned to workers round-robin, statically; each worker streams
-// one JSON line per finished trial back over its pipe, and the parent
-// demultiplexes lines into the result matrix by (point, trial) index
-// while appending them to the checkpoint. Because every trial runs on
-// the RNG stream deriveSeed(point.baseSeed, trial) and metrics travel
-// as IEEE-754 bit patterns, the final ScenarioResults is bitwise
-// identical for any NCG_PROCS value and for any kill/resume split —
-// pinned by tests/test_runtime_runner_determinism.cpp.
+// whatever a checkpoint manifest already holds, and computes the rest:
+// in a plain sequential loop when procs == 1, otherwise on procs
+// fork()ed workers. Each worker claims the next unit index from one
+// atomic counter in an anonymous shared mapping, one unit per claim,
+// and streams one JSON line per finished unit back over its pipe; the
+// parent places lines into the result matrix by (point, trial) index
+// while appending them to the checkpoint. No two units share an
+// address space at the same time. Because every trial runs on the RNG
+// stream deriveSeed(point.baseSeed, trial) and metrics travel as
+// IEEE-754 bit patterns, the final ScenarioResults is bitwise identical
+// for any NCG_PROCS value and for any kill/resume split — pinned by
+// tests/test_runtime_runner_determinism.cpp.
 #pragma once
 
 #include <cstddef>
@@ -26,15 +26,12 @@ namespace ncg::runtime {
 
 /// Execution options of one runScenario call.
 struct RunOptions {
-  /// Worker processes; 0 reads NCG_PROCS (default 1). 1 = in-process.
+  /// Worker processes; 0 reads NCG_PROCS (default: the core count).
+  /// 1 = a sequential loop in the calling process.
   int procs = 0;
   /// Manifest path; "" disables checkpointing. A non-empty existing
   /// manifest must match the grid's fingerprint (else ncg::Error).
   std::string checkpointPath;
-  /// Contiguous units per shard; 0 picks the defaultGrain heuristic
-  /// (~4 shards per worker — process workers when procs > 1, thread
-  /// pool workers in the in-process path).
-  std::size_t shardSize = 0;
   /// Stop after computing this many new units (0 = no limit). This is
   /// the deterministic stand-in for a mid-grid kill: combined with
   /// checkpointPath it leaves a resumable manifest exactly like a real
@@ -48,7 +45,7 @@ struct RunOptions {
   /// when checkpointing, and writes no sidecar otherwise.
   std::string timingsPath;
   /// Clock the timings are measured on; nullptr = steadyClock().
-  /// Tests inject a ManualClock (in-process path only — a forked
+  /// Tests inject a ManualClock (sequential path only — a forked
   /// worker's manual clock is a frozen copy).
   Clock* clock = nullptr;
   /// How hard checkpoint/sidecar appends push bytes at the disk
@@ -68,9 +65,9 @@ struct RunReport {
 
 /// Computes one (point, trial) unit exactly the way every executor
 /// must: a fresh Rng on stream deriveSeed(point.baseSeed, trial), then
-/// the scenario's trial body. Shared by the in-process runner, the
-/// forked workers and the socket workers (runtime/serve.hpp) — one
-/// definition is what keeps them bitwise interchangeable.
+/// the scenario's trial body. Shared by the sequential loop, the forked
+/// workers and the socket workers (runtime/serve.hpp) — one definition
+/// is what keeps them bitwise interchangeable.
 TrialRecord computeScenarioUnit(const Scenario& scenario,
                                 const std::vector<ScenarioPoint>& points,
                                 int point, int trial);

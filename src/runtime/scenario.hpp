@@ -4,10 +4,9 @@
 // A Scenario is a named grid of seeded trial computations plus a
 // renderer. Each grid point carries labeled numeric parameters, a base
 // seed and a trial count; trial t of point p always runs on the RNG
-// stream deriveSeed(point.baseSeed, t) — the same seed model the bench
-// harnesses and the in-process sharded runner (stats/experiment.hpp)
-// use — so results are a pure function of (scenario, env knobs),
-// independent of which thread, shard or worker process computes them.
+// stream deriveSeed(point.baseSeed, t) — so results are a pure function
+// of (scenario, env knobs), independent of which worker process or
+// lease computes them.
 //
 // Grids are produced lazily by makePoints() so the env knobs
 // (NCG_TRIALS / NCG_SCALE, support/env.hpp) are read at run time, and

@@ -370,7 +370,7 @@ Scenario makeFig4SumBounds() {
 // --------------------------------------------------------------------
 // ext_empirical_poa — multi-restart PoA band search. Each restart is
 // one trial on the stream Rng(deriveSeed(baseSeed, i)), exactly the
-// stream estimatePoa gave restart i in the legacy harness.
+// stream the legacy harness's restart loop gave restart i.
 // --------------------------------------------------------------------
 
 Scenario makeExtEmpiricalPoa() {
@@ -426,7 +426,7 @@ Scenario makeExtEmpiricalPoa() {
     for (std::size_t p = 0; p < points.size(); ++p) {
       const double alpha = points[p].param("alpha");
       const Dist k = static_cast<Dist>(points[p].param("k"));
-      // Aggregated in restart order, exactly like estimatePoa.
+      // Aggregated in restart order, exactly like the legacy harness.
       int converged = 0;
       double best = std::numeric_limits<double>::infinity();
       double worst = 0.0;

@@ -63,6 +63,20 @@ bool fileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+/// A process-private scratch file `<base>.<tag>.<pid>`, removed when the
+/// guard leaves scope on every exit path, exceptions included. The pid
+/// keeps concurrent units apart because the runner never runs two units
+/// in one process at the same time.
+struct ScratchFile {
+  ScratchFile(const std::string& base, const char* tag)
+      : path(base + "." + tag + "." + std::to_string(::getpid())) {}
+  ~ScratchFile() { std::remove(path.c_str()); }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  const std::string path;
+};
+
 /// Builds the base arena for n if the cache misses. Build-to-temp plus
 /// rename makes concurrent builders (NCG_PROCS workers all opening the
 /// same point) safe: the file's bytes are deterministic, so whichever
@@ -74,13 +88,13 @@ std::string ensureBaArena(NodeId nodes) {
   ::mkdir(env::arenaDir().c_str(), 0755);
   const std::string path = baArenaPath(nodes);
   if (fileExists(path)) return path;
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const ScratchFile tmp(path, "tmp");
   BarabasiAlbertParams params;
   params.nodes = nodes;
   params.attach = kAttach;
   params.seed = baSeedFor(nodes);
-  buildBarabasiAlbertArena(tmp, params);
-  NCG_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
+  buildBarabasiAlbertArena(tmp.path, params);
+  NCG_REQUIRE(std::rename(tmp.path.c_str(), path.c_str()) == 0,
               "installing arena cache file " << path << " failed");
   return path;
 }
@@ -174,20 +188,16 @@ Scenario makeLargeBaFamily() {
     }
     // Paged backend: moves are written back into the file, so each
     // trial works on a private scratch copy of the cached arena.
-    const std::string scratch =
-        basePath + ".trial." + std::to_string(::getpid());
-    copyFile(basePath, scratch);
-    std::vector<double> metrics;
-    {
-      CsrArena arena;
-      arena.open(scratch);
-      ArenaDynamicsBackend backend(
-          arena, static_cast<std::uint64_t>(env::arenaBudget()));
-      metrics = resultMetrics(runPagedGreedyDynamics(backend, config));
-      backend.paged().dropAll();
-      arena.close();
-    }
-    std::remove(scratch.c_str());
+    const ScratchFile scratch(basePath, "trial");
+    copyFile(basePath, scratch.path);
+    CsrArena arena;
+    arena.open(scratch.path);
+    ArenaDynamicsBackend backend(
+        arena, static_cast<std::uint64_t>(env::arenaBudget()));
+    std::vector<double> metrics =
+        resultMetrics(runPagedGreedyDynamics(backend, config));
+    backend.paged().dropAll();
+    arena.close();
     return metrics;
   };
   return s;  // generic renderer

@@ -14,7 +14,6 @@
 #include <thread>
 #include <utility>
 
-#include "parallel/parallel_for.hpp"
 #include "runtime/runner.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
@@ -280,9 +279,9 @@ int resolveHeartbeatMs(const ServeOptions& options) {
 
 std::size_t resolveShardSize(const ServeOptions& options, std::size_t units) {
   if (options.shardSize > 0) return options.shardSize;
-  // The runner's heuristic, assuming a small worker fleet; any value
+  // About four leases per worker of a four-worker fleet; any value
   // yields the same results, this only tunes lease granularity.
-  return defaultGrain(std::max<std::size_t>(units, 1), 4);
+  return std::max<std::size_t>(units / 16, 1);
 }
 
 }  // namespace

@@ -125,7 +125,8 @@ struct ServeOptions {
   std::string checkpointPath;
   /// Lease TTL in ms; <= 0 reads NCG_HEARTBEAT_MS (default 5000).
   int heartbeatMs = 0;
-  /// Units per shard; 0 picks the runner's defaultGrain heuristic.
+  /// Units per shard; 0 picks units/16 (at least 1), about four leases
+  /// for each worker of a four-worker fleet.
   std::size_t shardSize = 0;
   /// After completion, keep answering kDone for this long so late
   /// workers exit cleanly instead of hitting a vanished server.

@@ -1,6 +1,7 @@
 #include "support/env.hpp"
 
 #include <cstdlib>
+#include <thread>
 
 #include "support/string_util.hpp"
 
@@ -10,12 +11,10 @@ int trials() { return envInt("NCG_TRIALS", 8); }
 
 bool fullScale() { return envInt("NCG_SCALE", 0) == 1; }
 
-std::size_t threads() {
-  const int threads = envInt("NCG_THREADS", 0);
-  return threads > 0 ? static_cast<std::size_t>(threads) : 0;
+int procs() {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return envInt("NCG_PROCS", cores > 0 ? static_cast<int>(cores) : 1);
 }
-
-int procs() { return envInt("NCG_PROCS", 1); }
 
 std::string serveAddress() {
   const char* value = std::getenv("NCG_SERVE_ADDR");

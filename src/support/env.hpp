@@ -1,13 +1,11 @@
 // The environment knobs every experiment entry point honours.
 //
-// Historically each bench harness parsed NCG_TRIALS / NCG_SCALE /
-// NCG_THREADS through bench_common; with the runtime layer (scenario
-// registry + multi-process runner) reading the same knobs, the parsing
-// lives here once. All knobs are read at call time (no caching), so
-// tests may setenv/unsetenv between calls.
+// The scenario registry, the runner, the lease server and the bench
+// harnesses all read the same knobs, so the parsing lives here once.
+// All knobs are read at call time (no caching), so tests may
+// setenv/unsetenv between calls.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace ncg::env {
@@ -19,13 +17,10 @@ int trials();
 /// True when NCG_SCALE=1 requests the paper's full (α, k, n) grids.
 bool fullScale();
 
-/// NCG_THREADS — worker threads for the in-process sharded trial
-/// runner; 0 means one per hardware thread (the ThreadPool default).
-std::size_t threads();
-
-/// NCG_PROCS — worker processes for the multi-process scenario runner
-/// (`runtime/runner.hpp`); default 1 = run in-process. Results are
-/// bitwise identical for any value.
+/// NCG_PROCS — worker processes of the scenario runner
+/// (`runtime/runner.hpp`); default one per hardware thread, and 1 runs
+/// the units sequentially in-process. Results are bitwise identical for
+/// any value.
 int procs();
 
 /// NCG_SERVE_ADDR — listen/connect address of the shard-lease service

@@ -1,12 +1,18 @@
-// The multi-process scenario runner must be bitwise deterministic: a
-// registered scenario run with 1, 2 or 8 worker processes produces
-// identical results (mirroring tests/test_parallel_determinism.cpp one
-// layer up — processes instead of threads), and a run killed mid-grid
-// and resumed from its checkpoint equals an uninterrupted run exactly.
+// The scenario runner must be bitwise deterministic: a registered
+// scenario run sequentially (1 process) or on 2, 4 or 8 forked workers
+// produces identical results, and a run killed mid-grid and resumed
+// from its checkpoint equals an uninterrupted run exactly. A unit that
+// fails fails the run, and no worker outlives it.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -90,10 +96,9 @@ std::vector<std::uint64_t> bitPatterns(const ScenarioResults& results) {
   return bits;
 }
 
-RunReport runWithProcs(int procs, std::size_t shardSize = 0) {
+RunReport runWithProcs(int procs) {
   RunOptions options;
   options.procs = procs;
-  options.shardSize = shardSize;
   return runScenario(testScenario(), options);
 }
 
@@ -108,23 +113,19 @@ TEST(RunnerDeterminism, ProcessCountDoesNotChangeResults) {
   EXPECT_EQ(bitPatterns(one.results), bitPatterns(eight.results));
 }
 
-TEST(RunnerDeterminism, ShardSizeDoesNotChangeResults) {
-  const std::vector<std::uint64_t> reference =
-      bitPatterns(runWithProcs(1).results);
-  for (const std::size_t shardSize : {1UL, 3UL, 7UL, 64UL}) {
-    for (const int procs : {2, 5}) {
-      EXPECT_EQ(reference, bitPatterns(runWithProcs(procs, shardSize).results))
-          << "procs=" << procs << " shardSize=" << shardSize;
-    }
-  }
-}
-
-TEST(RunnerDeterminism, MoreWorkersThanShardsIsFine) {
-  // 24 units in one giant shard → 1 of 8 workers gets all the work.
-  const RunReport report = runWithProcs(8, 1000);
-  ASSERT_TRUE(report.complete);
+TEST(RunnerDeterminism, MoreWorkersThanUnitsIsFine) {
+  // 3 units for 8 requested workers: only 3 are forked, and between
+  // them they claim every unit exactly once.
+  RunOptions eight;
+  eight.procs = 8;
+  eight.maxUnits = 3;
+  const RunReport report = runScenario(testScenario(), eight);
+  EXPECT_EQ(report.unitsRun, 3U);
+  RunOptions one;
+  one.procs = 1;
+  one.maxUnits = 3;
   EXPECT_EQ(bitPatterns(report.results),
-            bitPatterns(runWithProcs(1).results));
+            bitPatterns(runScenario(testScenario(), one).results));
 }
 
 TEST(RunnerDeterminism, BuiltinSmokeScenarioIsProcessCountInvariant) {
@@ -161,6 +162,89 @@ TEST(RunnerDeterminism, FamilyScenariosAreProcessCountInvariant) {
     const std::vector<std::uint64_t> bits = bitPatterns(reference.results);
     EXPECT_EQ(bits, bitPatterns(runScenario(*scenario, two).results));
     EXPECT_EQ(bits, bitPatterns(runScenario(*scenario, eight).results));
+  }
+}
+
+/// Sets an environment variable for one scope and unsets it after.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const std::string& value) : name(name) {
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name); }
+  const char* name;
+};
+
+TEST(RunnerDeterminism, LargeBaOnAColdArenaDirIsProcessCountInvariant) {
+  // family_large_ba builds its base arena into NCG_ARENA_DIR on first
+  // use and gives every trial a scratch copy. On a cold directory under
+  // a tight pager budget, the sequential loop and four workers (two of
+  // which build the same arena at once) must give the same bits, and
+  // leave only the cached *.arena files behind.
+  const Scenario* scenario = findScenario("family_large_ba");
+  ASSERT_NE(scenario, nullptr);
+  const ScopedEnv budget("NCG_ARENA_BUDGET", "262144");
+  std::vector<std::vector<std::uint64_t>> bits;
+  for (const int procs : {1, 4}) {
+    SCOPED_TRACE(procs);
+    const std::string dir = ::testing::TempDir() + "ncg_runner_arena_" +
+                            std::to_string(::getpid()) + "_p" +
+                            std::to_string(procs);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const ScopedEnv arenaDir("NCG_ARENA_DIR", dir);
+    RunOptions options;
+    options.procs = procs;
+    const RunReport report = runScenario(*scenario, options);
+    ASSERT_TRUE(report.complete);
+    bits.push_back(bitPatterns(report.results));
+    std::size_t arenas = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      EXPECT_EQ(entry.path().extension(), ".arena") << entry.path();
+      ++arenas;
+    }
+    EXPECT_GE(arenas, 1U);
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(bits[0], bits[1]);
+}
+
+/// A cheap 3×4 grid whose trial body throws on unit (1, 2); a point's
+/// base seed is its index.
+const Scenario& failingScenario() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    Scenario s;
+    s.name = "runner_failure_fixture";
+    s.description = "test fixture";
+    s.metricNames = {"trial"};
+    s.makePoints = [] {
+      std::vector<ScenarioPoint> points(3);
+      for (std::size_t p = 0; p < points.size(); ++p) {
+        points[p].baseSeed = p;
+        points[p].trials = 4;
+      }
+      return points;
+    };
+    s.runTrialFn = [](const ScenarioPoint& point, int trial, Rng&) {
+      NCG_REQUIRE(point.baseSeed != 1 || trial != 2, "planted unit failure");
+      return std::vector<double>{static_cast<double>(trial)};
+    };
+    registerScenario(std::move(s));
+  });
+  return *findScenario("runner_failure_fixture");
+}
+
+TEST(RunnerFailure, AFailingUnitFailsTheRunAndNoWorkerOutlivesIt) {
+  for (const int procs : {1, 4}) {
+    SCOPED_TRACE(procs);
+    RunOptions options;
+    options.procs = procs;
+    EXPECT_THROW(runScenario(failingScenario(), options), Error);
+    // Every forked worker was reaped before runScenario threw.
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
   }
 }
 

@@ -980,9 +980,9 @@ std::string legacyExtEmpiricalPoaText() {
       const GameParams params = GameParams::max(alpha, k);
       const std::uint64_t baseSeed =
           0xE0AULL + static_cast<std::uint64_t>(alpha * 100 + k);
-      // estimatePoa, sequentially: per restart i the stream is
-      // Rng(deriveSeed(base, i)) -> factory -> scheduleSeed, and the
-      // aggregation runs in restart order.
+      // The harness's restart loop, sequentially: per restart i the
+      // stream is Rng(deriveSeed(base, i)) -> factory -> scheduleSeed,
+      // and the aggregation runs in restart order.
       int converged = 0;
       double best = std::numeric_limits<double>::infinity();
       double worst = 0.0;
