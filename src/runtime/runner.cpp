@@ -67,7 +67,7 @@ class UnitCounter {
   UnitCounter(const UnitCounter&) = delete;
   UnitCounter& operator=(const UnitCounter&) = delete;
 
-  std::size_t claim() { return next_->fetch_add(1, std::memory_order_relaxed); }
+  std::size_t claim() { return next_->fetch_add(1); }
 
  private:
   using Counter = std::atomic<std::size_t>;
@@ -110,8 +110,12 @@ int workerBody(const Scenario& scenario,
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ncg_run worker %zu: %s\n", workerIndex, e.what());
-    return 1;
+  } catch (...) {
+    // Nothing may unwind out of a child into the parent's code.
+    std::fprintf(stderr, "ncg_run worker %zu: unknown exception\n",
+                 workerIndex);
   }
+  return 1;
 }
 
 /// A worker process as the parent sees it.
@@ -206,7 +210,7 @@ void runForked(const Scenario& scenario,
   Workers workers;
   workers.handles.reserve(workerCount);
   for (std::size_t w = 0; w < workerCount; ++w) {
-    int fds[2];
+    int fds[2] = {-1, -1};
     if (::pipe(fds) != 0) throw Error("pipe() failed");
     const pid_t pid = ::fork();
     if (pid < 0) {

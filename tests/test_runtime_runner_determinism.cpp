@@ -5,6 +5,8 @@
 // fails fails the run, and no worker outlives it.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -246,6 +248,27 @@ TEST(RunnerFailure, AFailingUnitFailsTheRunAndNoWorkerOutlivesIt) {
     EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD);
   }
+}
+
+TEST(RunnerFailure, APipeFailureWhileForkingLeavesNoChild) {
+  // Leave file descriptors for only a few pipes, so pipe() fails after
+  // some workers are already forked: those must be reaped all the same.
+  const int lowestFree = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowestFree, 0);
+  ::close(lowestFree);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowestFree + 4);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  RunOptions options;
+  options.procs = 8;
+  EXPECT_THROW(runScenario(testScenario(), options), Error);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(CheckpointResume, FamilyScenarioKillAndResumeEqualsUninterrupted) {
