@@ -180,8 +180,8 @@ TEST(RunnerDeterminism, LargeBaOnAColdArenaDirIsProcessCountInvariant) {
   // family_large_ba builds its base arena into NCG_ARENA_DIR on first
   // use and gives every trial a scratch copy. On a cold directory under
   // a tight pager budget, the sequential loop and four workers (two of
-  // which build the same arena at once) must give the same bits, and
-  // leave only the cached *.arena files behind.
+  // which may build the same arena at once) must give the same bits,
+  // and leave only the cached *.arena files behind.
   const Scenario* scenario = findScenario("family_large_ba");
   ASSERT_NE(scenario, nullptr);
   const ScopedEnv budget("NCG_ARENA_BUDGET", "262144");
