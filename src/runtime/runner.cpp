@@ -167,24 +167,35 @@ struct Workers {
   }
 };
 
-void drainLines(WorkerHandle& worker, ScenarioResults& results,
-                CheckpointWriter& writer, std::size_t& unitsRun,
-                std::vector<UnitTiming>& timings,
-                TimingWriter& timingWriter) {
+/// Where a finished unit goes, whichever path computed it: the result
+/// into the report and the manifest, the timing into the report and the
+/// sidecar — never the manifest.
+struct UnitSink {
+  RunReport& report;
+  CheckpointWriter& writer;
+  TimingWriter& timingWriter;
+
+  void result(const TrialRecord& record) {
+    report.results.record(record);
+    writer.append(record);
+    ++report.unitsRun;
+  }
+  void timing(const UnitTiming& timing) {
+    report.timings.push_back(timing);
+    timingWriter.append(timing);
+  }
+};
+
+void drainLines(WorkerHandle& worker, UnitSink& sink) {
   std::size_t start = 0;
   for (;;) {
     const std::size_t nl = worker.buffer.find('\n', start);
     if (nl == std::string::npos) break;
     const std::string_view line(worker.buffer.data() + start, nl - start);
     if (const auto record = decodeTrialLine(line)) {
-      results.record(*record);
-      writer.append(*record);
-      ++unitsRun;
+      sink.result(*record);
     } else if (const auto timing = decodeTimingLine(line)) {
-      // Observability only: collected and persisted to the sidecar,
-      // never counted as a result.
-      timings.push_back(*timing);
-      timingWriter.append(*timing);
+      sink.timing(*timing);
     } else {
       NCG_REQUIRE(false, "malformed result line from worker");
     }
@@ -195,10 +206,8 @@ void drainLines(WorkerHandle& worker, ScenarioResults& results,
 
 void runForked(const Scenario& scenario,
                const std::vector<ScenarioPoint>& points,
-               const std::vector<Unit>& units, int procs,
-               ScenarioResults& results, CheckpointWriter& writer,
-               std::size_t& unitsRun, bool recordTimings, Clock& clock,
-               std::vector<UnitTiming>& timings, TimingWriter& timingWriter) {
+               const std::vector<Unit>& units, int procs, bool recordTimings,
+               Clock& clock, UnitSink& sink) {
   const std::size_t workerCount =
       std::min<std::size_t>(static_cast<std::size_t>(procs), units.size());
   UnitCounter counter;
@@ -264,7 +273,7 @@ void runForked(const Scenario& scenario,
         continue;
       }
       worker->buffer.append(buf, static_cast<std::size_t>(n));
-      drainLines(*worker, results, writer, unitsRun, timings, timingWriter);
+      drainLines(*worker, sink);
     }
   }
 
@@ -424,22 +433,17 @@ RunReport runScenario(const Scenario& scenario, const RunOptions& options) {
     units.resize(options.maxUnits);
   }
 
+  UnitSink sink{report, writer, timingWriter};
   const int procs = options.procs > 0 ? options.procs : env::procs();
   if (procs <= 1) {
     for (const Unit& unit : units) {
       const TimedRecord done = computeTimed(scenario, grid, unit, clock, 0);
-      report.results.record(done.record);
-      writer.append(done.record);
-      ++report.unitsRun;
-      if (options.recordTimings) {
-        report.timings.push_back(done.timing);
-        timingWriter.append(done.timing);
-      }
+      sink.result(done.record);
+      if (options.recordTimings) sink.timing(done.timing);
     }
   } else if (!units.empty()) {
-    runForked(scenario, grid, units, procs, report.results, writer,
-              report.unitsRun, options.recordTimings, clock, report.timings,
-              timingWriter);
+    runForked(scenario, grid, units, procs, options.recordTimings, clock,
+              sink);
     NCG_REQUIRE(report.unitsRun == units.size(),
                 "workers returned " << report.unitsRun << " of "
                                     << units.size() << " expected results");
