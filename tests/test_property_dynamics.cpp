@@ -25,15 +25,6 @@ struct DynSweep {
   Schedule schedule;
 };
 
-// Prints the fields: gtest_discover_tests appends this text to the
-// CTest name, and gtest's fallback (a hex dump of the object, padding
-// included) would rename the test on every relink.
-void PrintTo(const DynSweep& s, std::ostream* os) {
-  *os << '(' << s.alpha << ", " << s.k << ", "
-      << (s.rule == MoveRule::kBestResponse ? "exact" : "greedy") << ", "
-      << (s.schedule == Schedule::kRoundRobin ? "rr" : "perm") << ')';
-}
-
 std::string dynSweepName(const ::testing::TestParamInfo<DynSweep>& info) {
   const auto& s = info.param;
   // Built with += throughout: operator+(const char*, std::string&&)

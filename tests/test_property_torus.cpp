@@ -11,17 +11,6 @@
 #include "graph/metrics.hpp"
 
 namespace ncg {
-
-// Prints the fields: gtest_discover_tests appends this text to the
-// CTest name, and gtest's fallback (a hex dump of the object, whose
-// vector holds a heap pointer) would rename the test on every run.
-// TorusParams lives in ncg, so argument-dependent lookup finds this
-// overload here and not in the unnamed namespace below.
-void PrintTo(const TorusParams& params, std::ostream* os) {
-  *os << '(' << params.ell << ", "
-      << ::testing::PrintToString(params.delta) << ')';
-}
-
 namespace {
 
 std::string torusName(
