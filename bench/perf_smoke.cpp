@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/best_response.hpp"
 #include "support/build_info.hpp"
-#include "core/player_view.hpp"
 #include "dynamics/round_robin.hpp"
 #include "gen/random_tree.hpp"
 #include "graph/metrics.hpp"
@@ -100,10 +98,8 @@ CaseResult dynamicsCase(const char* name, std::uint64_t seed, NodeId n,
 /// Clean-wakeup slice: full-knowledge MaxNCG dynamics with the
 /// best-response memoization off, so after round 1 almost every wakeup
 /// re-solves an unchanged view. Pins the construction path those
-/// re-solves take (lazy per-radius instances, ballDone retirement,
-/// shared-scratch fallback); the views here are below the persistence
-/// window, so the per-player cache itself is pinned by the dedicated
-/// case below.
+/// re-solves take (lazy per-radius instances, ballDone retirement),
+/// which every MaxNCG solve runs from radius 0.
 CaseResult noBrCacheSlice() {
   WallTimer timer;
   std::size_t moves = 0;
@@ -119,34 +115,6 @@ CaseResult noBrCacheSlice() {
     moves += result.totalMoves;
   }
   return {"micro_nocache_max_100", timer.seconds(), moves};
-}
-
-/// Cover-instance persistence slice: drives the revision-keyed
-/// per-player cache directly — one cold MaxNCG solve per player, then
-/// 10 warm re-solves at the same revision, which must serve every
-/// per-radius instance (and its memoized greedy cover) from the cache
-/// (instance construction is ~40 % of one of these solves, so a
-/// regression that silently rebuilds on clean wakeups is a clear
-/// timing jump here, independent of the dynamics layer's engagement
-/// policy). Work unit = solves performed.
-CaseResult coverCacheReuseSlice() {
-  Rng rng(deriveSeed(0xC4C8EULL, 0));
-  const Graph tree = makeRandomTree(256, rng);
-  const StrategyProfile profile = StrategyProfile::randomOwnership(tree, rng);
-  const GameParams params = GameParams::max(2.0, 1000);
-  BestResponseScratch scratch;
-  CoverInstanceCache cache;
-  WallTimer timer;
-  std::size_t solves = 0;
-  for (NodeId u = 0; u < 10; ++u) {
-    const PlayerView pv = buildPlayerView(tree, profile, u, params.k);
-    const std::uint64_t revision = static_cast<std::uint64_t>(u) + 1;
-    for (int rep = 0; rep < 11; ++rep) {  // rep 0 cold, 10 warm reuses
-      (void)bestResponse(pv, params, {}, scratch, cache, revision);
-      ++solves;
-    }
-  }
-  return {"cover_cache_reuse_256", timer.seconds(), solves};
 }
 
 }  // namespace
@@ -167,7 +135,6 @@ int main() {
                                GameParams::sum(1.5, 3),
                                MoveRule::kBestResponse, 40));
   cases.push_back(noBrCacheSlice());
-  cases.push_back(coverCacheReuseSlice());
 
   double total = 0.0;
   std::printf("=== perf smoke (fixed seeds, fixed grids) ===\n");

@@ -56,8 +56,7 @@ double centerStatusSum(const PlayerView& pv) {
 BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
                              const BestResponseOptions& options,
                              BestResponseScratch& scratch,
-                             CoverInstanceCache& cover,
-                             std::uint64_t revision) {
+                             CoverInstanceCache& cover) {
   BestResponse res;
   res.strategyGlobal = currentGlobalStrategy(pv);
   res.currentCost = params.alpha * pv.alphaBought +
@@ -67,20 +66,12 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
   const NodeId m = pv.view.size();
   if (m <= 1) return res;  // nobody visible: no move possible
 
-  // Reuse-vs-rebuild: a matching revision vouches that the view — and
-  // therefore every instance below, a pure function of it — is unchanged
-  // since the cache was filled, so already-built radii are served as-is.
-  // H₀ and the free-neighbor mask are only needed while constructing, so
-  // a fully-cached call touches neither. Construction state lives in
-  // locals mirroring the cache (synced after every extension) so the hot
-  // sweep loops run on registers, exactly like the pre-cache code.
+  // H₀ and the free-neighbor mask are only needed to construct
+  // instances, so they are built on the first construction: a player
+  // whose current cost no radius can beat builds neither.
   const auto n0 = static_cast<std::size_t>(m - 1);
-  if (!cover.gate.reuse(revision)) {
-    cover.built = 0;
-    cover.saturated = false;
-  }
-  std::size_t built = cover.built;
-  bool saturated = cover.saturated;
+  std::size_t built = 0;   // radii [0, built) are in cover.instances
+  bool saturated = false;  // the sweep passed the largest finite distance
   bool h0Ready = false;
   const auto ensureBuildInputs = [&] {
     if (h0Ready) return;
@@ -102,12 +93,10 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
   // the residual universe once free neighbors have covered their balls.
   // Instances are built lazily in radius order — the radius-r balls come
   // from the radius-(r−1) balls by one closed-neighborhood union sweep —
-  // and kept in the cover cache so (a) the greedy and the exact pass
-  // below share them, (b) their bitset storage is recycled across calls,
-  // and (c) a caller holding a per-player cache reuses them across clean
-  // wakeups without any construction at all. Lazy building also bounds
-  // the radius range for free: the first sweep that leaves every ball
-  // unchanged has passed the largest finite pairwise distance
+  // into the cover storage, so the greedy and the exact pass below share
+  // them and their bitset storage is recycled across calls. Lazy building
+  // also bounds the radius range for free: the first sweep that leaves
+  // every ball unchanged has passed the largest finite pairwise distance
   // (instanceAt returns nullptr from there on), so no all-pairs distance
   // computation is needed up front.
   const auto instanceAt = [&](Dist r) -> CoverInstance* {
@@ -168,7 +157,6 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
         inst.universe.andNot(balls[static_cast<std::size_t>(f - 1)]);
       }
       inst.maxBall = 1;
-      inst.greedyDone = false;
       std::size_t count = 0;
       for (std::size_t v = 0; v < n0; ++v) {
         if (!scratch.coverFreeMask.test(v)) {
@@ -188,8 +176,6 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
       ++built;
       ++cover.constructions;
     }
-    cover.built = built;
-    cover.saturated = saturated;
     if (static_cast<Dist>(built) <= r) return nullptr;
     return &cover.instances[static_cast<std::size_t>(r)];
   };
@@ -217,14 +203,8 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
   // are remembered per radius: whenever the greedy already meets the
   // cardinality lower bound it is provably optimal, and pass B can skip
   // the exact solve for that radius outright (nothing strictly smaller
-  // exists, and acceptCover ignores equal-cost covers). For persistent
-  // (revision-keyed) callers the greedy cover itself is memoized inside
-  // the instance — a pure function of it — so reused instances skip the
-  // solve as well as the construction; one-shot callers (revision 0)
-  // would never read the memo back, so they keep the result local and
-  // skip the store.
+  // exists, and acceptCover ignores equal-cost covers).
   constexpr std::size_t kNoGreedy = SIZE_MAX;
-  const bool memoizeGreedy = revision != 0;
   std::vector<std::size_t>& greedySizeAt = scratch.coverGreedySize;
   greedySizeAt.clear();
   for (Dist r = 0;; ++r) {
@@ -242,29 +222,17 @@ BestResponse maxBestResponse(const PlayerView& pv, const GameParams& params,
     const std::size_t lower =
         (inst->universe.count() + inst->maxBall - 1) / inst->maxBall;
     if (lower > static_cast<std::size_t>(capDouble)) continue;
-    if (!memoizeGreedy) {
-      const SetCoverResult greedy =
-          greedySetCover(inst->universe, inst->sets, scratch.coverSolver);
-      if (greedy.feasible) {
-        greedySizeAt.back() = greedy.chosen.size();
-        acceptCover(*inst, greedy.chosen, h);
-      }
-      continue;
-    }
-    if (!inst->greedyDone) {
-      inst->greedy =
-          greedySetCover(inst->universe, inst->sets, scratch.coverSolver);
-      inst->greedyDone = true;
-    }
-    if (inst->greedy.feasible) {
-      greedySizeAt.back() = inst->greedy.chosen.size();
-      acceptCover(*inst, inst->greedy.chosen, h);
+    const SetCoverResult greedy =
+        greedySetCover(inst->universe, inst->sets, scratch.coverSolver);
+    if (greedy.feasible) {
+      greedySizeAt.back() = greedy.chosen.size();
+      acceptCover(*inst, greedy.chosen, h);
     }
   }
 
   // Pass B (exact): per radius, prove optimality or skip radii whose
   // cardinality lower bound already rules them out. bestCost only shrank
-  // since pass A, so every instance this pass needs is already cached.
+  // since pass A, so every instance this pass needs is already built.
   for (Dist r = 0;; ++r) {
     const double h = static_cast<double>(r) + 1.0;
     // Even a zero-purchase strategy at this radius costs h; larger radii
@@ -602,18 +570,20 @@ BestResponse bestResponse(const PlayerView& pv, const GameParams& params,
 BestResponse bestResponse(const PlayerView& pv, const GameParams& params,
                           const BestResponseOptions& options,
                           BestResponseScratch& scratch) {
-  // No view identity available: revision 0 rebuilds the scratch-owned
-  // cover cache (storage still recycled across calls).
-  return bestResponse(pv, params, options, scratch, scratch.cover, 0);
+  NCG_REQUIRE(params.alpha > 0.0, "α must be positive, got " << params.alpha);
+  return params.kind == GameKind::kMax
+             ? maxBestResponse(pv, params, options, scratch, scratch.cover)
+             : sumBestResponse(pv, params, options, scratch);
 }
 
 BestResponse bestResponse(const PlayerView& pv, const GameParams& params,
                           const BestResponseOptions& options,
                           BestResponseScratch& scratch,
-                          CoverInstanceCache& cover, std::uint64_t revision) {
+                          CoverInstanceCache& cover,
+                          std::uint64_t /*revision*/) {
   NCG_REQUIRE(params.alpha > 0.0, "α must be positive, got " << params.alpha);
   return params.kind == GameKind::kMax
-             ? maxBestResponse(pv, params, options, scratch, cover, revision)
+             ? maxBestResponse(pv, params, options, scratch, cover)
              : sumBestResponse(pv, params, options, scratch);
 }
 

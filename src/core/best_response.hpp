@@ -20,7 +20,6 @@
 
 #include "core/game.hpp"
 #include "core/player_view.hpp"
-#include "core/revision_keyed.hpp"
 #include "graph/bfs.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
@@ -52,23 +51,6 @@ struct BestResponse {
   bool exact = true;
 };
 
-/// Reusable H₀ distance oracle for single-edge (greedy) move evaluation:
-/// the row-major all-sources distance matrix of the center-less view
-/// graph (row v = BFS distances from v; the transient CSR copy of H₀
-/// lives in the shared scratch). Built once per distinct view, then
-/// every buy/delete/swap candidate folds rows in O(|H₀|) instead of
-/// re-running a BFS.
-///
-/// Persistence contract: `gate` keys the rows to the view revision they
-/// were built from (see RevisionGate). The dynamics layer keeps one
-/// oracle per player so the rows survive across a player's consecutive
-/// wakeups while her cached view stays clean; any other caller passes
-/// revision 0 and always rebuilds.
-struct MoveDistanceOracle {
-  std::vector<Dist> dist;  ///< |H₀|² row-major all-sources distances
-  RevisionGate gate;       ///< view revision the rows were built for
-};
-
 /// One radius of the MaxNCG cover reduction (Proposition 2.1 + §5.3):
 /// for radius r, `sets[i]` is the radius-r ball mask of the i-th
 /// non-free candidate vertex `setVertex[i]` in H₀, and `universe` is
@@ -76,47 +58,27 @@ struct MoveDistanceOracle {
 /// own balls. A cover of `universe` by `sets` of size s is exactly a
 /// strategy with s purchases and post-move eccentricity <= r + 1.
 /// `maxBall` (the largest ball popcount) feeds the cardinality lower
-/// bound ceil(|universe| / maxBall); `greedy`/`greedyDone` memoize the
-/// greedy cover of this instance (a pure function of it), so a reused
-/// instance also skips the pass-A greedy solve.
+/// bound ceil(|universe| / maxBall).
 struct CoverInstance {
   std::vector<DynBitset> sets;     ///< radius-r ball masks, non-free only
   std::vector<NodeId> setVertex;   ///< H₀ vertex behind each mask
   DynBitset universe;              ///< elements the purchases must cover
   std::size_t maxBall = 1;         ///< max popcount over `sets`
-  SetCoverResult greedy;           ///< memoized greedy cover (if done)
-  bool greedyDone = false;         ///< `greedy` holds a computed result
 };
 
-/// The lazily-built per-radius cover instances of one view, plus the
-/// ball front needed to extend them to deeper radii: `balls[v]` is the
-/// radius-(built-1) ball mask of H₀ vertex v, `instances[0..built)` are
-/// the finished radii, and `saturated` records that the sweep reached
-/// the largest finite distance (no deeper instance differs, so
-/// extension stops for good).
-///
-/// Persistence contract: everything in here is a pure function of the
-/// player's view, so `gate` keys the whole bundle to a DynamicsCache
-/// view revision exactly like MoveDistanceOracle — one cache per player
-/// survives clean wakeups and makes their MaxNCG pass skip instance
-/// construction (ball-union sweeps, mask copies, greedy covers)
-/// entirely. A bumped revision resets `built`/`saturated`; storage is
-/// recycled. `constructions` counts per-radius instance builds over the
-/// cache's lifetime (diagnostics; the lifecycle tests observe reuse
-/// through it).
+/// Storage for the per-radius cover instances of one MaxNCG solve, plus
+/// the ball front that extends them to deeper radii: `balls[v]` is the
+/// ball mask of H₀ vertex v at the deepest radius built so far. Every
+/// solve builds its instances from radius 0, lazily and only as deep as
+/// its passes read; only the storage is recycled across solves.
+/// `constructions` counts per-radius instance builds over the object's
+/// lifetime (a work counter).
 struct CoverInstanceCache {
-  std::vector<CoverInstance> instances;  ///< radii [0, built)
-  std::vector<DynBitset> balls;          ///< radius-(built-1) ball masks
+  std::vector<CoverInstance> instances;  ///< one per radius built
+  std::vector<DynBitset> balls;          ///< deepest built ball masks
   std::vector<std::uint8_t> ballDone;    ///< ball stopped growing for good
   std::vector<std::size_t> ballCount;    ///< popcounts of `balls`
-  std::size_t built = 0;                 ///< radii currently valid
-  bool saturated = false;                ///< sweep passed max distance
-  RevisionGate gate;                     ///< view revision of the bundle
   std::size_t constructions = 0;         ///< instances built (lifetime)
-
-  /// Releases all storage (size-capped eviction in DynamicsCache) and
-  /// forgets the revision stamp.
-  void evict() { *this = CoverInstanceCache{}; }
 };
 
 /// Reusable buffers for repeated best-response solves. Keep one instance
@@ -124,14 +86,13 @@ struct CoverInstanceCache {
 /// run); buffers grow to the largest view solved and are reused
 /// afterwards, eliminating the per-call allocation of distance matrices,
 /// coverage masks and branch-and-bound search stacks. Default-constructed
-/// state is valid; apart from the revision-gated `cover` fallback the
-/// struct carries no results between calls.
+/// state is valid, and no result survives from one call to the next.
 struct BestResponseScratch {
   BfsEngine bfs;
   CsrGraph h0;                       ///< the view graph minus its center
-  std::vector<Dist> apd;             ///< |H₀|² distance matrix (SumNCG)
+  std::vector<Dist> apd;             ///< |H₀|² distances (SumNCG, greedy)
   std::vector<DynBitset> ballsNext;  ///< ping-pong buffer for radius r+1
-  CoverInstanceCache cover;          ///< fallback when no per-player cache
+  CoverInstanceCache cover;          ///< MaxNCG per-radius instances
   SetCoverScratch coverSolver;       ///< set-cover working buffers
   std::vector<std::size_t> coverGreedySize;  ///< pass-A sizes per radius
   DynBitset coverFreeMask;           ///< free-neighbor mask (MaxNCG)
@@ -140,10 +101,10 @@ struct BestResponseScratch {
   std::vector<Dist> sumBaseline;     ///< free-neighbor baseline distances
   std::vector<std::vector<double>> sumGainBound;  ///< per-depth B&B bounds
 
-  // greedyMove working set (tentpole oracle path): candidate/source lists
-  // and per-target best / second-best source distances. Hoisted here so
-  // every move of every trial reuses the same storage.
-  MoveDistanceOracle moveOracle;     ///< used when no per-player oracle
+  // greedyMove working set (oracle path; the oracle's distance matrix
+  // is `apd`): candidate/source lists and per-target best / second-best
+  // source distances. Hoisted here so every move of every trial reuses
+  // the same storage.
   std::vector<bool> moveFringe;
   std::vector<bool> moveFree;
   std::vector<bool> moveOwn;
@@ -166,14 +127,11 @@ BestResponse bestResponse(const PlayerView& pv, const GameParams& params,
                           const BestResponseOptions& options,
                           BestResponseScratch& scratch);
 
-/// As above, with a caller-owned cover-instance cache keyed by
-/// `revision` (any non-zero caller-defined stamp of the view's
-/// identity, normally DynamicsCache::viewRevision): when
-/// `cover.gate` matches, the MaxNCG pass reuses the cached per-radius
-/// instances — and their memoized greedy covers — outright instead of
-/// re-running the ball-union sweeps and mask copies; a mismatch (or
-/// revision 0) rebuilds from radius 0. SumNCG solves ignore the cache.
-/// Bit-identical to the plain scratch overload for every input.
+/// A stub for perfbench/ncg_trace.cpp, which changes only together with
+/// the benchmark and still calls this overload (and the
+/// DynamicsCache::coverCacheFor / viewRevision stubs). It runs the
+/// overload above with `cover` as the instance storage and ignores
+/// `revision`. Delete it once that file calls the overload above.
 BestResponse bestResponse(const PlayerView& pv, const GameParams& params,
                           const BestResponseOptions& options,
                           BestResponseScratch& scratch,

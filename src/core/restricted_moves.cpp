@@ -149,9 +149,7 @@ void finalizeResult(const PlayerView& pv, double bestCost,
 constexpr NodeId kOracleMaxViewNodes = 4096;
 
 BestResponse greedyMoveOracle(const PlayerView& pv, const GameParams& params,
-                              BestResponseScratch& scratch,
-                              MoveDistanceOracle& oracle,
-                              std::uint64_t revision) {
+                              BestResponseScratch& scratch) {
   BestResponse res;
   if (prepareResult(pv, params, res)) return res;
   const MoveSetup setup = prepareSetup(pv, scratch);
@@ -162,18 +160,10 @@ BestResponse greedyMoveOracle(const PlayerView& pv, const GameParams& params,
   const std::vector<bool>& isFree = *setup.isFree;
   const std::vector<bool>& isOwn = *setup.isOwn;
 
-  // The oracle: the all-sources distance matrix of H₀, reused verbatim
-  // when the caller vouches (via a matching non-zero revision) that the
-  // view is unchanged since the last build (the RevisionGate contract
-  // shared with the MaxNCG cover-instance cache). The CSR form of H₀ is
-  // only needed while rebuilding, so it lives in the shared scratch
-  // rather than in each per-player oracle.
-  if (!oracle.gate.reuse(revision)) {
-    removeCenterInto(pv.view.graph, pv.view.center, scratch.h0);
-    allPairsDistances(scratch.h0, scratch.bfs, oracle.dist);
-  }
-  NCG_ASSERT(oracle.dist.size() == m0 * m0, "stale oracle for this view");
-  const Dist* apd = oracle.dist.data();
+  // The oracle: the all-sources distance matrix of H₀.
+  removeCenterInto(pv.view.graph, pv.view.center, scratch.h0);
+  allPairsDistances(scratch.h0, scratch.bfs, scratch.apd);
+  const Dist* apd = scratch.apd.data();
   const auto rowOf = [&](NodeId v) { return apd + static_cast<std::size_t>(v) * m0; };
 
   // Per-target best and second-best distances over the current source
@@ -302,17 +292,7 @@ BestResponse greedyMove(const PlayerView& pv, const GameParams& params,
   if (pv.view.size() - 1 > kOracleMaxViewNodes) {
     return greedyMoveReference(pv, params, scratch);  // O(m)-memory path
   }
-  // No view identity available: revision 0 rebuilds the scratch oracle.
-  return greedyMoveOracle(pv, params, scratch, scratch.moveOracle, 0);
-}
-
-BestResponse greedyMove(const PlayerView& pv, const GameParams& params,
-                        BestResponseScratch& scratch,
-                        MoveDistanceOracle& oracle, std::uint64_t revision) {
-  if (pv.view.size() - 1 > kOracleMaxViewNodes) {
-    return greedyMoveReference(pv, params, scratch);  // O(m)-memory path
-  }
-  return greedyMoveOracle(pv, params, scratch, oracle, revision);
+  return greedyMoveOracle(pv, params, scratch);
 }
 
 BestResponse greedyMoveReference(const PlayerView& pv,

@@ -26,8 +26,6 @@
 // could.
 #pragma once
 
-#include <cstdint>
-
 #include "core/best_response.hpp"
 #include "core/game.hpp"
 #include "core/player_view.hpp"
@@ -45,17 +43,6 @@ BestResponse greedyMove(const PlayerView& pv, const GameParams& params);
 /// Produces bit-identical results to the allocating overload.
 BestResponse greedyMove(const PlayerView& pv, const GameParams& params,
                         BestResponseScratch& scratch);
-
-/// As above, with a caller-owned distance oracle keyed by `revision`
-/// (any non-zero caller-defined stamp of the view's identity, via the
-/// RevisionGate mechanism in core/revision_keyed.hpp): when the gate
-/// matches, the H₀ rebuild and the all-sources BFS pass are skipped
-/// entirely — the dynamics cache passes its per-player view revision so
-/// oracle rows survive between a player's consecutive wakeups while her
-/// view is clean. revision == 0 always rebuilds.
-BestResponse greedyMove(const PlayerView& pv, const GameParams& params,
-                        BestResponseScratch& scratch,
-                        MoveDistanceOracle& oracle, std::uint64_t revision);
 
 /// Reference implementation: enumerates the same candidates but evaluates
 /// each with a fresh multi-source BFS over H₀ (the pre-oracle semantics).

@@ -10,8 +10,7 @@ DynamicsCache::DynamicsCache(NodeId players, Dist k)
     : k_(k),
       views_(static_cast<std::size_t>(players)),
       valid_(static_cast<std::size_t>(players), false),
-      settled_(static_cast<std::size_t>(players), false),
-      revision_(static_cast<std::size_t>(players), 0) {
+      settled_(static_cast<std::size_t>(players), false) {
   NCG_REQUIRE(players >= 0, "player count must be non-negative");
   NCG_REQUIRE(k >= 1, "view radius must be >= 1, got " << k);
 }
@@ -33,82 +32,9 @@ const PlayerView& DynamicsCache::viewOf(const Graph& g,
     syncMirror(g);
     buildPlayerView(mirror_, profile, u, k_, engine_, views_[slot]);
     valid_[slot] = true;
-    revision_[slot] = ++revisionCounter_;
     ++rebuilds_;
   }
   return views_[slot];
-}
-
-namespace {
-
-/// Streak-based engagement (see the header): hand out the per-player
-/// payload only from the third consecutive presentation of the same
-/// revision on — a player provably being re-solved clean repeatedly —
-/// or when the payload is already built for it. Earlier sightings just
-/// update the streak and send the caller to the shared scratch, so runs
-/// where every solve follows a revision bump never touch per-player
-/// storage, and the one guaranteed clean re-solve of every converged
-/// dynamics (the final all-quiet round) doesn't either.
-bool engageDerived(std::vector<std::uint64_t>& seen,
-                   std::vector<std::uint8_t>& streak, NodeId u,
-                   std::uint64_t revision, std::uint64_t payloadRevision) {
-  const auto slot = static_cast<std::size_t>(u);
-  if (payloadRevision == revision) return true;  // built for this view
-  if (seen[slot] == revision) {
-    if (streak[slot] >= 1) return true;  // third sighting: build now
-    streak[slot] = 1;
-    return false;
-  }
-  seen[slot] = revision;
-  streak[slot] = 0;
-  return false;
-}
-
-/// Shared accessor body for both per-player payload kinds: lazy array
-/// sizing, the [kDerivedPersistMinNodes, kDerivedPersistLimit] view-size
-/// window (eviction above it), and the streak-based engagement rule.
-/// `evict` releases the payload's storage; `stamp` reads its gate.
-template <typename Payload, typename EvictFn>
-Payload* derivedPayloadFor(std::vector<Payload>& payloads,
-                           std::vector<std::uint64_t>& seen,
-                           std::vector<std::uint8_t>& streak,
-                           std::size_t players, NodeId u, NodeId viewNodes,
-                           std::uint64_t revision, NodeId minNodes,
-                           NodeId maxNodes, EvictFn&& evict) {
-  if (players == 0) return nullptr;  // reference-mode cache (0 players)
-  if (payloads.empty()) payloads.resize(players);
-  if (seen.empty()) {
-    seen.resize(players, 0);
-    streak.resize(players, 0);
-  }
-  Payload& payload = payloads[static_cast<std::size_t>(u)];
-  if (viewNodes > maxNodes) {
-    evict(payload);  // release storage, forget the revision stamp
-    return nullptr;
-  }
-  if (viewNodes < minNodes) return nullptr;  // construction too cheap
-  if (!engageDerived(seen, streak, u, revision, payload.gate.revision)) {
-    return nullptr;
-  }
-  return &payload;
-}
-
-}  // namespace
-
-MoveDistanceOracle* DynamicsCache::greedyOracleFor(NodeId u, NodeId viewNodes,
-                                                   std::uint64_t revision) {
-  return derivedPayloadFor(
-      oracles_, derivedSeen_, derivedStreak_, views_.size(), u, viewNodes,
-      revision, kDerivedPersistMinNodes, kDerivedPersistLimit,
-      [](MoveDistanceOracle& oracle) { oracle = MoveDistanceOracle{}; });
-}
-
-CoverInstanceCache* DynamicsCache::coverCacheFor(NodeId u, NodeId viewNodes,
-                                                 std::uint64_t revision) {
-  return derivedPayloadFor(
-      covers_, derivedSeen_, derivedStreak_, views_.size(), u, viewNodes,
-      revision, kDerivedPersistMinNodes, kDerivedPersistLimit,
-      [](CoverInstanceCache& cover) { cover.evict(); });
 }
 
 void DynamicsCache::invalidateBall(NodeId u) {
@@ -216,16 +142,6 @@ void DynamicsCache::applyMove(Graph& g, StrategyProfile& profile, NodeId u,
   invalidateBall(u);
 }
 
-void DynamicsCache::evictDerived(NodeId u) {
-  const auto slot = static_cast<std::size_t>(u);
-  if (slot < oracles_.size()) oracles_[slot] = MoveDistanceOracle{};
-  if (slot < covers_.size()) covers_[slot].evict();
-  if (slot < derivedSeen_.size()) {
-    derivedSeen_[slot] = 0;
-    derivedStreak_[slot] = 0;
-  }
-}
-
 void DynamicsCache::applyArrival(Graph& g, StrategyProfile& profile, NodeId u,
                                  const std::vector<NodeId>& strategy) {
   NCG_REQUIRE(profile.strategyOf(u).empty() && g.degree(u) == 0,
@@ -268,7 +184,6 @@ void DynamicsCache::applyDeparture(Graph& g, StrategyProfile& profile,
 
   valid_[static_cast<std::size_t>(u)] = false;
   settled_[static_cast<std::size_t>(u)] = false;
-  evictDerived(u);
 }
 
 }  // namespace ncg

@@ -9,7 +9,11 @@
 // loses a changed edge passes through u within the first k hops. Views of
 // all other players are provably byte-identical, so they are neither
 // re-extracted nor re-solved ("settled" players), which makes quiet
-// rounds near-free.
+// rounds near-free. The cache keeps views and settled flags only: a best
+// response depends on nothing but the solving player's view, and a
+// settled player is skipped rather than re-solved, so no solver state is
+// kept per player (every solve starts from the view, reusing only the
+// shared BestResponseScratch buffers).
 //
 // The cache is an optimization layer only: runBestResponseDynamics with
 // EngineMode::kIncremental produces exactly the move sequence of
@@ -32,10 +36,7 @@
 
 namespace ncg {
 
-/// Memoized per-player views with distance-<=k dirty tracking, plus the
-/// revision-keyed per-player solver state derived from those views (the
-/// greedy-move distance oracle and the MaxNCG cover-instance cache, both
-/// gated on viewRevision — see core/revision_keyed.hpp).
+/// Memoized per-player views with distance-<=k dirty tracking.
 /// Not thread-safe; one cache per dynamics run.
 class DynamicsCache {
  public:
@@ -84,74 +85,18 @@ class DynamicsCache {
   /// players' strategies at once, but every changed edge is still
   /// incident to u, so the pre-departure distance-<= k ball around u
   /// covers every view that can change (removals only grow distances).
-  /// u's cached view AND its persisted derived solver payloads (greedy
-  /// oracle rows, cover instances) are fully evicted: a departed slot
-  /// holds no state a future arrival reusing the node id could ever
-  /// see a stale revision of.
+  /// u's own cached view is invalidated too.
   void applyDeparture(Graph& g, StrategyProfile& profile, NodeId u);
 
-  /// True when player u currently holds persisted derived solver state
-  /// (oracle rows or cover instances). Diagnostics for the churn
-  /// eviction tests — departure must drive this to false.
-  bool hasDerivedPayload(NodeId u) const {
-    const auto slot = static_cast<std::size_t>(u);
-    return (slot < oracles_.size() && oracles_[slot].gate.revision != 0) ||
-           (slot < covers_.size() && covers_[slot].gate.revision != 0);
+  /// Stubs for perfbench/ncg_trace.cpp, which changes only together with
+  /// the benchmark and still calls them (with the six-argument
+  /// bestResponse stub): no per-player cover storage exists, so
+  /// coverCacheFor always returns nullptr, and viewRevision returns 0.
+  /// Delete them once that file calls the four-argument bestResponse.
+  CoverInstanceCache* coverCacheFor(NodeId, NodeId, std::uint64_t) {
+    return nullptr;
   }
-
-  /// Monotone stamp of u's cached view: bumped every time the view is
-  /// rebuilt, stable exactly while the cached copy is reused (a "clean
-  /// wakeup" presents the same revision the previous solve saw). Never
-  /// zero once the view has been built, so it can key derived per-player
-  /// state — anything computed purely from the view — to the exact view
-  /// it was computed from; revision 0 is the RevisionGate sentinel for
-  /// "no identity / never reusable" (see core/revision_keyed.hpp).
-  std::uint64_t viewRevision(NodeId u) const {
-    return revision_[static_cast<std::size_t>(u)];
-  }
-
-  /// Largest view (node count, center included) whose derived per-player
-  /// solver state persists across clean wakeups. Beyond it the memory
-  /// would be dominated by the |H₀|² oracle rows / per-radius mask sets
-  /// (≈ MBs per player), so the accessors below evict the player's
-  /// stored payload and return nullptr — callers then fall back to the
-  /// shared scratch, which still reuses storage within a solve but not
-  /// across wakeups.
-  static constexpr NodeId kDerivedPersistLimit = 512;
-
-  /// Smallest view worth persisting. Below this the construction a reuse
-  /// would skip costs single-digit microseconds, while materializing the
-  /// per-player copy (cold allocations, n× memory footprint) costs about
-  /// as much as it ever saves — measured on the cache-off ablation
-  /// workloads, small-view engagement is a net loss. Solves on smaller
-  /// views always use the shared scratch.
-  static constexpr NodeId kDerivedPersistMinNodes = 128;
-
-  /// Per-player greedy-move distance oracle, revision-keyed persistence
-  /// across clean wakeups (pass `revision = viewRevision(u)`, then hand
-  /// the same revision to the greedyMove overload).
-  ///
-  /// Engagement is adaptive: the per-player copy is only handed out from
-  /// the third consecutive presentation of the same revision on — a
-  /// player provably in a streak of clean re-solves. Until then the
-  /// caller gets nullptr and uses the shared scratch, so workloads whose
-  /// views change on every wakeup (the settled-skip path, move-heavy
-  /// phases at large k where each move dirties everyone) pay none of the
-  /// per-player allocation churn, and neither does the single guaranteed
-  /// clean re-solve of every converged run (the final all-quiet round);
-  /// stable players reuse from their fourth consecutive clean wakeup.
-  /// Views past kDerivedPersistLimit always return nullptr and evict any
-  /// payload.
-  MoveDistanceOracle* greedyOracleFor(NodeId u, NodeId viewNodes,
-                                      std::uint64_t revision);
-
-  /// Per-player MaxNCG cover-instance cache, same contract and the same
-  /// adaptive streak-based engagement: pass the revision to the
-  /// bestResponse overload taking a CoverInstanceCache so clean wakeups
-  /// skip instance construction. nullptr (payload evicted) when the view
-  /// exceeds the size cap.
-  CoverInstanceCache* coverCacheFor(NodeId u, NodeId viewNodes,
-                                    std::uint64_t revision);
+  std::uint64_t viewRevision(NodeId) const { return 0; }
 
   /// View rebuilds performed so far (diagnostics for benches/tests).
   std::size_t rebuilds() const { return rebuilds_; }
@@ -159,24 +104,11 @@ class DynamicsCache {
  private:
   void invalidateBall(NodeId u);
   void syncMirror(const Graph& g);
-  void evictDerived(NodeId u);
 
   Dist k_ = 1;
   std::vector<PlayerView> views_;
   std::vector<bool> valid_;
   std::vector<bool> settled_;
-  std::vector<std::uint64_t> revision_;
-  // Revision-keyed per-player solver state (lazily sized on first use,
-  // so runs that never ask pay nothing). Invalidation is implicit: a
-  // stale payload simply fails its gate at the next solve. derivedSeen_
-  // holds the last revision each player presented, backing the
-  // streak-based engagement rule (a run solves with exactly one of
-  // the two payload kinds, so one pair of arrays serves both).
-  std::vector<MoveDistanceOracle> oracles_;
-  std::vector<CoverInstanceCache> covers_;
-  std::vector<std::uint64_t> derivedSeen_;
-  std::vector<std::uint8_t> derivedStreak_;
-  std::uint64_t revisionCounter_ = 0;
   CsrGraph mirror_;     ///< flat CSR copy of G, patched per applyMove
   bool mirrorValid_ = false;
   std::vector<NodeId> patchRows_;

@@ -80,23 +80,10 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
   DynamicsCache cache(incremental ? capacity : 0, config.params.k);
   Rng churnRng(config.churnSeed);
 
-  const auto solve = [&](const PlayerView& pv, NodeId u) {
-    if (config.moveRule == MoveRule::kGreedy) {
-      if (MoveDistanceOracle* oracle = cache.greedyOracleFor(
-              u, pv.view.size(), cache.viewRevision(u))) {
-        return greedyMove(pv, config.params, scratch, *oracle,
-                          cache.viewRevision(u));
-      }
-      return greedyMove(pv, config.params, scratch);
-    }
-    if (config.params.kind == GameKind::kMax) {
-      if (CoverInstanceCache* cover = cache.coverCacheFor(
-              u, pv.view.size(), cache.viewRevision(u))) {
-        return bestResponse(pv, config.params, config.br, scratch, *cover,
-                            cache.viewRevision(u));
-      }
-    }
-    return bestResponse(pv, config.params, config.br, scratch);
+  const auto solve = [&](const PlayerView& pv) {
+    return config.moveRule == MoveRule::kGreedy
+               ? greedyMove(pv, config.params, scratch)
+               : bestResponse(pv, config.params, config.br, scratch);
   };
 
   std::vector<std::uint64_t> settledFingerprint(
@@ -120,7 +107,7 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
     if (incremental) {
       if (config.useBestResponseCache && cache.isSettled(u)) return false;
       const BestResponse br =
-          solve(cache.viewOf(result.graph, result.profile, u), u);
+          solve(cache.viewOf(result.graph, result.profile, u));
       result.exact = result.exact && br.exact;
       if (br.improving) {
         recordMove(round, u, br);

@@ -14,11 +14,10 @@
 //
 // Cache correctness: churn events go through DynamicsCache::
 // applyArrival / applyDeparture, which extend the distance-<= k dirty
-// tracking to node insertion/removal and fully evict a departing
-// player's derived solver payloads (no stale-revision reuse when the
-// slot is recycled). EngineMode::kReference replays the same trajectory
-// through from-scratch rebuilds; the differential suite pins the two
-// identical.
+// tracking to node insertion/removal; the cache holds no per-player
+// solver state, so a recycled slot starts from a freshly built view.
+// EngineMode::kReference replays the same trajectory through
+// from-scratch rebuilds; the differential suite pins the two identical.
 #pragma once
 
 #include <cstdint>

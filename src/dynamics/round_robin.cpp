@@ -60,33 +60,7 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
                   : config.params;
   };
 
-  // Incremental engine: per-player solver state derived from a view —
-  // the greedy rule's H₀ distance oracle, the MaxNCG per-radius cover
-  // instances — lives in the DynamicsCache keyed by its view revisions,
-  // so a clean wakeup re-solves without reconstructing any of it. The
-  // cache decides per solve whether the per-player payload is worth it
-  // (a streak of identical revisions + the [kDerivedPersistMinNodes,
-  // kDerivedPersistLimit] view-size window — see DynamicsCache) and
-  // returns nullptr otherwise; those solves fall
-  // back to the shared scratch — same batched algorithms, no
-  // cross-wakeup persistence. In reference mode both accessors always
-  // return nullptr.
-  const auto greedySolve = [&](const PlayerView& pv, NodeId u) {
-    if (MoveDistanceOracle* oracle = cache.greedyOracleFor(
-            u, pv.view.size(), cache.viewRevision(u))) {
-      return greedyMove(pv, playerParams(u), scratch, *oracle,
-                        cache.viewRevision(u));
-    }
-    return greedyMove(pv, playerParams(u), scratch);
-  };
   const auto bestResponseSolve = [&](const PlayerView& pv, NodeId u) {
-    if (config.params.kind == GameKind::kMax) {
-      if (CoverInstanceCache* cover = cache.coverCacheFor(
-              u, pv.view.size(), cache.viewRevision(u))) {
-        return bestResponse(pv, playerParams(u), config.br, scratch, *cover,
-                            cache.viewRevision(u));
-      }
-    }
     return bestResponse(pv, playerParams(u), config.br, scratch);
   };
   // Noisy rule: one seeded softmax draw over the improving single-edge
@@ -132,7 +106,9 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
     if (config.moveRule == MoveRule::kBestResponse) {
       return bestResponseSolve(pv, u);
     }
-    if (config.moveRule == MoveRule::kGreedy) return greedySolve(pv, u);
+    if (config.moveRule == MoveRule::kGreedy) {
+      return greedyMove(pv, playerParams(u), scratch);
+    }
     return noisySolve(pv, u);
   };
   const auto referenceSolve = [&](const PlayerView& pv, NodeId u) {

@@ -1,20 +1,17 @@
-// Differential tests for the per-player cover-instance cache: a MaxNCG
-// best response served from a revision-keyed CoverInstanceCache must be
-// bit-for-bit the response of a fresh rebuild — identical strategies,
-// identical (not merely close) costs — across clean-wakeup reuse, dirty
-// invalidation on revision bumps, and resumed lazy construction. Also
-// pins the cache lifecycle itself: reuse really skips construction
-// (observed through CoverInstanceCache::constructions), a new revision
-// really rebuilds, and DynamicsCache's engagement rule size-caps and
-// evicts per-player payloads.
+// Differential tests for the MaxNCG cover-instance storage: a best
+// response solved through one BestResponseScratch, whose per-radius
+// instances and ball masks are recycled from solve to solve, must be
+// bit-for-bit the response of the allocating overload (fresh storage) —
+// identical strategies, identical (not merely close) costs — whatever
+// views, radii and α values the scratch served before. Every solve
+// builds its instances from radius 0, so a recycled scratch also counts
+// exactly the constructions a fresh one does.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 
 #include "core/best_response.hpp"
 #include "core/player_view.hpp"
-#include "dynamics/cache.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_tree.hpp"
 #include "support/random.hpp"
@@ -35,13 +32,13 @@ void expectSameResponse(const BestResponse& a, const BestResponse& b,
 }
 
 // 50+ randomized views, both generators, k in {1,2,3} and full
-// knowledge: cached == rebuilt. Each view is solved (1) fresh via the
-// plain scratch overload, (2) into a persistent per-player cache, and
-// (3) again from the now-warm cache at the same revision, which must
-// reuse every instance (constructions stays put) and still match.
+// knowledge: one scratch reused across the whole sweep matches the
+// allocating overload on every view, and builds as many instances as a
+// fresh scratch does.
 TEST(CoverCacheDifferential, CachedEqualsRebuiltOnRandomizedViews) {
   int views = 0;
   Rng rng(0xC0FE);
+  BestResponseScratch scratch;
   for (int trial = 0; trial < 5; ++trial) {
     const NodeId n = static_cast<NodeId>(10 + rng.nextBounded(8));
     const StrategyProfile profile =
@@ -53,30 +50,19 @@ TEST(CoverCacheDifferential, CachedEqualsRebuiltOnRandomizedViews) {
     for (const Dist k : {1, 2, 3, 1000}) {
       for (const double alpha : {0.5, 2.0}) {
         const GameParams params = GameParams::max(alpha, k);
-        BestResponseScratch freshScratch;
-        BestResponseScratch cachedScratch;
-        CoverInstanceCache cache;
         for (NodeId u = 0; u < profile.playerCount(); ++u) {
           const std::string label =
               "trial=" + std::to_string(trial) + "/k=" + std::to_string(k) +
               "/alpha=" + std::to_string(alpha) + "/u=" + std::to_string(u);
           const PlayerView pv = buildPlayerView(g, profile, u, params.k);
-          const BestResponse fresh =
-              bestResponse(pv, params, {}, freshScratch);
-          // A new revision per player: the cache must rebuild (the view
-          // changed) and match the fresh solve.
-          const std::uint64_t revision = static_cast<std::uint64_t>(u) + 1;
-          const BestResponse viaCache =
-              bestResponse(pv, params, {}, cachedScratch, cache, revision);
-          expectSameResponse(fresh, viaCache, label + "/cold");
-          EXPECT_EQ(cache.gate.revision, revision);
-          // Clean wakeup: same revision, instances must be served as-is.
-          const std::size_t constructionsBefore = cache.constructions;
-          const BestResponse reused =
-              bestResponse(pv, params, {}, cachedScratch, cache, revision);
-          expectSameResponse(fresh, reused, label + "/warm");
-          EXPECT_EQ(cache.constructions, constructionsBefore)
-              << "clean wakeup rebuilt instances";
+          const std::size_t before = scratch.cover.constructions;
+          expectSameResponse(bestResponse(pv, params, {}),
+                             bestResponse(pv, params, {}, scratch), label);
+          BestResponseScratch fresh;
+          (void)bestResponse(pv, params, {}, fresh);
+          EXPECT_EQ(scratch.cover.constructions - before,
+                    fresh.cover.constructions)
+              << label;
           ++views;
         }
       }
@@ -85,202 +71,32 @@ TEST(CoverCacheDifferential, CachedEqualsRebuiltOnRandomizedViews) {
   EXPECT_GE(views, 50);
 }
 
-// Dirty invalidation: after the underlying profile changes (and the
-// caller stamps a new revision), the cache must rebuild and track the
-// new view, never serving stale masks.
-TEST(CoverCacheDifferential, RevisionBumpInvalidates) {
-  Rng rng(0xC0FF);
-  StrategyProfile profile =
-      StrategyProfile::randomOwnership(makeRandomTree(14, rng), rng);
-  const GameParams params = GameParams::max(2.0, 1000);
-  BestResponseScratch scratch;
-  // One persistent cache per player, exactly like the dynamics layer.
-  std::vector<CoverInstanceCache> caches(
-      static_cast<std::size_t>(profile.playerCount()));
-  std::uint64_t revision = 0;
-  int moves = 0;
-  for (int round = 0; round < 4; ++round) {
-    for (NodeId u = 0; u < profile.playerCount(); ++u) {
-      CoverInstanceCache& cache = caches[static_cast<std::size_t>(u)];
-      const Graph g = profile.buildGraph();
-      const PlayerView pv = buildPlayerView(g, profile, u, params.k);
-      const BestResponse fresh = bestResponse(pv, params, {});
-      // Every iteration presents a fresh revision (the view may have
-      // changed since this player's last turn): the cache must rebuild
-      // and match, then reuse bit-identically at the same revision.
-      const BestResponse cached =
-          bestResponse(pv, params, {}, scratch, cache, ++revision);
-      const std::string label = "round=" + std::to_string(round) +
-                                "/u=" + std::to_string(u);
-      expectSameResponse(fresh, cached, label);
-      const std::size_t before = cache.constructions;
-      const BestResponse again =
-          bestResponse(pv, params, {}, scratch, cache, revision);
-      expectSameResponse(fresh, again, label + "/reuse");
-      EXPECT_EQ(cache.constructions, before);
-      if (fresh.improving) {
-        profile.setStrategy(u, fresh.strategyGlobal);
-        ++moves;
-      }
-    }
-  }
-  EXPECT_GT(moves, 0) << "test instance never moved; weak scenario";
-}
-
-// Revision 0 is the explicit no-identity sentinel: consecutive solves of
-// *different* views through one cache must not leak state.
-TEST(CoverCacheDifferential, RevisionZeroNeverReuses) {
-  Rng rng(0xC100);
-  const StrategyProfile p1 =
-      StrategyProfile::randomOwnership(makeRandomTree(12, rng), rng);
-  const StrategyProfile p2 =
-      StrategyProfile::randomOwnership(makeRandomTree(12, rng), rng);
-  const GameParams params = GameParams::max(1.5, 3);
-  BestResponseScratch scratch;
-  CoverInstanceCache cache;
-  const Graph g1 = p1.buildGraph();
-  const Graph g2 = p2.buildGraph();
-  const PlayerView v1 = buildPlayerView(g1, p1, 0, params.k);
-  const PlayerView v2 = buildPlayerView(g2, p2, 0, params.k);
-  const BestResponse a = bestResponse(v1, params, {}, scratch, cache, 0);
-  const BestResponse b = bestResponse(v2, params, {}, scratch, cache, 0);
-  expectSameResponse(bestResponse(v1, params, {}), a, "first view");
-  expectSameResponse(bestResponse(v2, params, {}), b, "second view");
-}
-
-// Lazy construction resumes at a fixed revision: the instances are a
-// pure function of the view, so the same revision may legally be
-// presented with different game parameters. A small alpha makes covers
-// cheap, drops the cost incumbent quickly and stops the radius loop
-// early; a large alpha at the *same* revision then needs deeper radii,
-// which must extend the persisted ball front (balls/ballDone/ballCount)
-// rather than restart it — and every response must still match a fresh
-// solve bit-for-bit.
-TEST(CoverCacheDifferential, ResumesLazyExtensionAtSameRevision) {
-  Rng rng(0xC102);
-  const StrategyProfile profile =
-      StrategyProfile::randomOwnership(makeRandomTree(18, rng), rng);
-  const Graph g = profile.buildGraph();
-  BestResponseScratch scratch;
-  for (NodeId u = 0; u < profile.playerCount(); ++u) {
-    CoverInstanceCache cache;
-    const std::uint64_t revision = static_cast<std::uint64_t>(u) + 1;
-    const PlayerView pv = buildPlayerView(g, profile, u, 1000);
-    const std::string label = "u=" + std::to_string(u);
-    // Shallow first (cheap covers end the radius loop early)…
-    const GameParams cheap = GameParams::max(0.3, 1000);
-    expectSameResponse(bestResponse(pv, cheap, {}),
-                       bestResponse(pv, cheap, {}, scratch, cache, revision),
-                       label + "/shallow");
-    const std::size_t shallowBuilt = cache.built;
-    const std::size_t shallowConstructions = cache.constructions;
-    // …then a deeper demand at the same revision: must extend, reusing
-    // the already-built radii (constructions grows by exactly the new
-    // radii, never re-counting the old ones).
-    const GameParams dear = GameParams::max(8.0, 1000);
-    expectSameResponse(bestResponse(pv, dear, {}),
-                       bestResponse(pv, dear, {}, scratch, cache, revision),
-                       label + "/deep");
-    EXPECT_GE(cache.built, shallowBuilt);
-    EXPECT_EQ(cache.constructions - shallowConstructions,
-              cache.built - shallowBuilt)
-        << "extension rebuilt radii it should have reused";
-    // …and the shallow call again is now a pure cache hit.
-    const std::size_t deepConstructions = cache.constructions;
-    expectSameResponse(bestResponse(pv, cheap, {}),
-                       bestResponse(pv, cheap, {}, scratch, cache, revision),
-                       label + "/shallow-again");
-    EXPECT_EQ(cache.constructions, deepConstructions);
-  }
-}
-
-// Storage recycling across revisions: one cache object serving a
-// sequence of different views (revision bumps) must keep matching fresh
-// solves while its buffers are reused in place.
+// Storage recycling: one scratch serving a sequence of different views
+// and α values must keep matching fresh solves while its buffers are
+// reused in place. A small α ends the radius loop early and a large one
+// needs deeper radii, so the second sweep solves each view shallow,
+// deep and shallow again: a deep solve must build its own ball front
+// rather than read the one a shallower solve left behind.
 TEST(CoverCacheDifferential, StorageRecycledAcrossRevisions) {
   Rng rng(0xC101);
   const StrategyProfile profile =
       StrategyProfile::randomOwnership(makeRandomTree(16, rng), rng);
   const Graph g = profile.buildGraph();
   BestResponseScratch scratch;
-  CoverInstanceCache cache;
-  std::uint64_t revision = 0;
-  for (const double alpha : {6.0, 0.3, 2.0, 0.7}) {
+  const auto check = [&](NodeId u, double alpha) {
     const GameParams params = GameParams::max(alpha, 1000);
-    for (NodeId u = 0; u < profile.playerCount(); ++u) {
-      const PlayerView pv = buildPlayerView(g, profile, u, params.k);
-      const BestResponse fresh = bestResponse(pv, params, {});
-      const BestResponse cached =
-          bestResponse(pv, params, {}, scratch, cache, ++revision);
-      expectSameResponse(fresh, cached,
-                         "alpha=" + std::to_string(alpha) +
-                             "/u=" + std::to_string(u));
-    }
+    const PlayerView pv = buildPlayerView(g, profile, u, params.k);
+    expectSameResponse(bestResponse(pv, params, {}),
+                       bestResponse(pv, params, {}, scratch),
+                       "alpha=" + std::to_string(alpha) +
+                           "/u=" + std::to_string(u));
+  };
+  for (const double alpha : {6.0, 0.3, 2.0, 0.7}) {
+    for (NodeId u = 0; u < profile.playerCount(); ++u) check(u, alpha);
   }
-}
-
-// DynamicsCache engagement lifecycle: per-player payloads are handed out
-// only after a streak of identical revisions, oversized views evict, and
-// a fresh engagement after eviction starts from an empty payload.
-TEST(CoverCacheLifecycle, SizeCappedEvictionAndStreakEngagement) {
-  DynamicsCache cache(4, 2);
-  const std::uint64_t rev = 7;
-
-  // First and second sighting: shared scratch (nullptr).
-  EXPECT_EQ(cache.coverCacheFor(0, 200, rev), nullptr);
-  EXPECT_EQ(cache.coverCacheFor(0, 200, rev), nullptr);
-  // Third sighting: engaged.
-  CoverInstanceCache* engaged = cache.coverCacheFor(0, 200, rev);
-  ASSERT_NE(engaged, nullptr);
-  engaged->gate.reuse(rev);       // simulate a build for this revision
-  engaged->built = 3;
-  engaged->instances.resize(3);
-  engaged->constructions = 3;
-  // Already built for this revision: engaged immediately, same payload.
-  EXPECT_EQ(cache.coverCacheFor(0, 200, rev), engaged);
-
-  // Oversized view: evicted (storage released, stamp forgotten)…
-  EXPECT_EQ(cache.coverCacheFor(0, DynamicsCache::kDerivedPersistLimit + 1,
-                                rev + 1),
-            nullptr);
-  // …and a later re-engagement starts cold.
-  EXPECT_EQ(cache.coverCacheFor(0, 200, rev + 2), nullptr);
-  EXPECT_EQ(cache.coverCacheFor(0, 200, rev + 2), nullptr);
-  CoverInstanceCache* reengaged = cache.coverCacheFor(0, 200, rev + 2);
-  ASSERT_NE(reengaged, nullptr);
-  EXPECT_EQ(reengaged->built, 0u);
-  EXPECT_EQ(reengaged->constructions, 0u);
-  EXPECT_EQ(reengaged->gate.revision, 0u);
-
-  // Small views never engage (construction too cheap to persist).
-  EXPECT_LT(NodeId{10}, DynamicsCache::kDerivedPersistMinNodes);
-  EXPECT_EQ(cache.coverCacheFor(1, 10, rev), nullptr);
-  EXPECT_EQ(cache.coverCacheFor(1, 10, rev), nullptr);
-  EXPECT_EQ(cache.coverCacheFor(1, 10, rev), nullptr);
-
-  // The greedy oracle obeys the same rule.
-  EXPECT_EQ(cache.greedyOracleFor(2, 200, rev), nullptr);
-  EXPECT_EQ(cache.greedyOracleFor(2, 200, rev), nullptr);
-  EXPECT_NE(cache.greedyOracleFor(2, 200, rev), nullptr);
-  EXPECT_EQ(cache.greedyOracleFor(
-                2, DynamicsCache::kDerivedPersistLimit + 1, rev + 1),
-            nullptr);
-}
-
-// The RevisionGate contract in isolation.
-TEST(CoverCacheLifecycle, RevisionGateContract) {
-  RevisionGate gate;
-  EXPECT_EQ(gate.revision, 0u);
-  EXPECT_FALSE(gate.reuse(0));   // no identity: never reuse
-  EXPECT_FALSE(gate.reuse(5));   // first sighting stamps…
-  EXPECT_TRUE(gate.reuse(5));    // …second reuses
-  EXPECT_FALSE(gate.reuse(6));   // bump rebuilds
-  EXPECT_TRUE(gate.reuse(6));
-  EXPECT_FALSE(gate.reuse(0));   // zero still never reuses…
-  EXPECT_FALSE(gate.reuse(6));   // …and clobbers the stamp
-  gate.reuse(9);
-  gate.invalidate();
-  EXPECT_FALSE(gate.reuse(9));
+  for (NodeId u = 0; u < profile.playerCount(); ++u) {
+    for (const double alpha : {0.3, 8.0, 0.3}) check(u, alpha);
+  }
 }
 
 }  // namespace

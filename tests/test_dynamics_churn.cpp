@@ -1,7 +1,7 @@
 // Churn dynamics guards: the seed fully determines a churn run —
 // including which node slots departures free and arrivals reuse — and a
-// departing player leaves no derived solver state behind for the next
-// occupant of its slot.
+// departure leaves its slot isolated, with no cached view or settled
+// flag for the next occupant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,12 +96,10 @@ TEST(ChurnReplay, SimultaneousRoundsReplayIdentically) {
   }
 }
 
-TEST(ChurnEviction, DepartureEvictsDerivedSolverPayloads) {
-  // Drive the cache directly: engage a per-player derived payload the
-  // way the solver does (same-revision streak, then a gate stamp), and
-  // verify applyDeparture clears it — the slot's next occupant must
-  // never meet a stale revision.
-  constexpr NodeId n = 140;  // >= kDerivedPersistMinNodes so payloads engage
+TEST(ChurnEviction, DepartureLeavesTheSlotIsolated) {
+  // Drive the cache directly: cache and settle u's view, depart u, and
+  // check that nothing of the old occupant is left in the slot.
+  constexpr NodeId n = 140;
   Rng rng(0xE71C7ULL);
   const Graph tree = makeRandomTree(n, rng);
   StrategyProfile profile = StrategyProfile::randomOwnership(tree, rng);
@@ -109,21 +107,13 @@ TEST(ChurnEviction, DepartureEvictsDerivedSolverPayloads) {
   DynamicsCache cache(n, /*k=*/1000);
 
   const NodeId u = 7;
-  (void)cache.viewOf(g, profile, u);
-  const std::uint64_t revision = cache.viewRevision(u);
-  ASSERT_NE(revision, 0U);
-
-  CoverInstanceCache* cover = nullptr;
-  for (int attempt = 0; attempt < 5 && cover == nullptr; ++attempt) {
-    cover = cache.coverCacheFor(u, n, revision);
-  }
-  ASSERT_NE(cover, nullptr);  // streak engagement handed the payload out
-  EXPECT_FALSE(cover->gate.reuse(revision));  // first stamp: rebuild
-  EXPECT_TRUE(cover->gate.reuse(revision));   // now keyed to the view
-  ASSERT_TRUE(cache.hasDerivedPayload(u));
+  ASSERT_EQ(cache.viewOf(g, profile, u).view.size(), n);
+  cache.markSettled(u);
+  ASSERT_TRUE(cache.isSettled(u));
 
   cache.applyDeparture(g, profile, u);
-  EXPECT_FALSE(cache.hasDerivedPayload(u));
+  EXPECT_FALSE(cache.isSettled(u));
+  EXPECT_EQ(cache.viewOf(g, profile, u).view.size(), 1);
   EXPECT_TRUE(profile.strategyOf(u).empty());
   EXPECT_EQ(g.degree(u), 0);
   for (NodeId v = 0; v < n; ++v) {

@@ -4,7 +4,8 @@
 // (greedyMoveReference) bit-for-bit — identical proposed strategies,
 // identical (not merely close) costs, identical improving flags — across
 // both game variants, k ∈ {1,2,3}, random trees and ER graphs, fringe
-// (Proposition 2.2) cutoff instances and equal-cost tie fields.
+// (Proposition 2.2) cutoff instances and equal-cost tie fields, with one
+// scratch recycled through every view of a sweep.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,13 +21,14 @@
 namespace ncg {
 namespace {
 
+// `scratch` is shared by every view of a sweep, so the oracle path must
+// also match the reference when its buffers last served another view,
+// another radius or the other game variant.
 void expectSameMove(const PlayerView& pv, const GameParams& params,
-                    const std::string& label) {
+                    BestResponseScratch& scratch, const std::string& label) {
   SCOPED_TRACE(label);
-  BestResponseScratch scratchRef;
-  BestResponseScratch scratchOracle;
-  const BestResponse ref = greedyMoveReference(pv, params, scratchRef);
-  const BestResponse fast = greedyMove(pv, params, scratchOracle);
+  const BestResponse ref = greedyMoveReference(pv, params);
+  const BestResponse fast = greedyMove(pv, params, scratch);
 
   EXPECT_EQ(ref.strategyGlobal, fast.strategyGlobal);
   EXPECT_EQ(ref.improving, fast.improving);
@@ -43,11 +45,12 @@ void expectSameMove(const PlayerView& pv, const GameParams& params,
 }
 
 int compareAllPlayers(const Graph& g, const StrategyProfile& profile,
-                      const GameParams& params, const std::string& label) {
+                      const GameParams& params, BestResponseScratch& scratch,
+                      const std::string& label) {
   int views = 0;
   for (NodeId u = 0; u < profile.playerCount(); ++u) {
     const PlayerView pv = buildPlayerView(g, profile, u, params.k);
-    expectSameMove(pv, params,
+    expectSameMove(pv, params, scratch,
                    label + "/u=" + std::to_string(u));
     ++views;
   }
@@ -57,6 +60,7 @@ int compareAllPlayers(const Graph& g, const StrategyProfile& profile,
 TEST(GreedyOracleDifferential, RandomTreesBothKindsSmallK) {
   int views = 0;
   Rng rng(0x0E1);
+  BestResponseScratch scratch;
   for (int trial = 0; trial < 6; ++trial) {
     const NodeId n = static_cast<NodeId>(8 + rng.nextBounded(10));
     const StrategyProfile profile =
@@ -67,7 +71,7 @@ TEST(GreedyOracleDifferential, RandomTreesBothKindsSmallK) {
         for (const double alpha : {0.4, 1.0, 3.0}) {
           const GameParams params{kind, alpha, k, {}};
           views += compareAllPlayers(
-              g, profile, params,
+              g, profile, params, scratch,
               "tree/trial=" + std::to_string(trial) +
                   "/kind=" + (kind == GameKind::kMax ? "max" : "sum") +
                   "/k=" + std::to_string(k) +
@@ -81,6 +85,7 @@ TEST(GreedyOracleDifferential, RandomTreesBothKindsSmallK) {
 
 TEST(GreedyOracleDifferential, ErdosRenyiBothKinds) {
   Rng rng(0x0E2);
+  BestResponseScratch scratch;
   for (int trial = 0; trial < 4; ++trial) {
     const StrategyProfile profile = StrategyProfile::randomOwnership(
         makeConnectedErdosRenyi(14, 0.25, rng), rng);
@@ -89,7 +94,7 @@ TEST(GreedyOracleDifferential, ErdosRenyiBothKinds) {
       for (const Dist k : {1, 2, 3}) {
         const GameParams params{kind, 1.5, k, {}};
         compareAllPlayers(
-            g, profile, params,
+            g, profile, params, scratch,
             "er/trial=" + std::to_string(trial) +
                 "/kind=" + (kind == GameKind::kMax ? "max" : "sum") +
                 "/k=" + std::to_string(k));
@@ -102,6 +107,7 @@ TEST(GreedyOracleDifferential, ErdosRenyiBothKinds) {
 // the Proposition 2.2 forbidden-set rule bite (deletes/swaps that push a
 // fringe node beyond k must evaluate to +inf on both paths).
 TEST(GreedyOracleDifferential, FringeCutoffCases) {
+  BestResponseScratch scratch;
   for (const NodeId n : {6, 9, 12}) {
     std::vector<std::vector<NodeId>> lists(static_cast<std::size_t>(n));
     for (NodeId i = 0; i + 1 < n; ++i) {
@@ -112,7 +118,7 @@ TEST(GreedyOracleDifferential, FringeCutoffCases) {
     for (const Dist k : {1, 2, 3}) {
       for (const double alpha : {0.3, 2.0}) {
         const GameParams params = GameParams::sum(alpha, k);
-        compareAllPlayers(g, profile, params,
+        compareAllPlayers(g, profile, params, scratch,
                           "path/n=" + std::to_string(n) +
                               "/k=" + std::to_string(k));
       }
@@ -124,6 +130,7 @@ TEST(GreedyOracleDifferential, FringeCutoffCases) {
 // the first-evaluated-wins order is the whole answer. The oracle must
 // pick the same candidate as the reference, not just an equal-cost one.
 TEST(GreedyOracleDifferential, EqualCostTieOrdering) {
+  BestResponseScratch scratch;
   for (const NodeId n : {8, 11, 16}) {
     std::vector<std::vector<NodeId>> lists(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
@@ -134,62 +141,12 @@ TEST(GreedyOracleDifferential, EqualCostTieOrdering) {
     for (const GameKind kind : {GameKind::kMax, GameKind::kSum}) {
       for (const double alpha : {0.2, 1.0}) {
         const GameParams params{kind, alpha, 3, {}};
-        compareAllPlayers(g, profile, params,
+        compareAllPlayers(g, profile, params, scratch,
                           "cycle/n=" + std::to_string(n) +
                               "/alpha=" + std::to_string(alpha));
       }
     }
   }
-}
-
-// The persistent-oracle overload: a matching revision reuses the H₀ rows
-// (bit-identical answers), a new revision rebuilds them for the new view.
-TEST(GreedyOracleDifferential, PersistentOracleReuseAcrossWakeups) {
-  Rng rng(0x0E3);
-  const StrategyProfile profile =
-      StrategyProfile::randomOwnership(makeRandomTree(12, rng), rng);
-  const Graph g = profile.buildGraph();
-  const GameParams params = GameParams::max(1.0, 2);
-
-  BestResponseScratch scratch;
-  MoveDistanceOracle oracle;
-  for (NodeId u = 0; u < profile.playerCount(); ++u) {
-    const PlayerView pv = buildPlayerView(g, profile, u, params.k);
-    const BestResponse ref = greedyMoveReference(pv, params, scratch);
-    const std::uint64_t revision = static_cast<std::uint64_t>(u) + 1;
-    const BestResponse first =
-        greedyMove(pv, params, scratch, oracle, revision);
-    EXPECT_EQ(oracle.gate.revision, revision);
-    // Second call with the same revision: rows are reused verbatim.
-    const BestResponse second =
-        greedyMove(pv, params, scratch, oracle, revision);
-    EXPECT_EQ(ref.strategyGlobal, first.strategyGlobal);
-    EXPECT_EQ(ref.proposedCost, first.proposedCost);
-    EXPECT_EQ(first.strategyGlobal, second.strategyGlobal);
-    EXPECT_EQ(first.proposedCost, second.proposedCost);
-    EXPECT_EQ(first.currentCost, second.currentCost);
-  }
-}
-
-// Revision 0 must never be treated as reusable.
-TEST(GreedyOracleDifferential, RevisionZeroAlwaysRebuilds) {
-  Rng rng(0x0E4);
-  const StrategyProfile p1 =
-      StrategyProfile::randomOwnership(makeRandomTree(10, rng), rng);
-  const StrategyProfile p2 =
-      StrategyProfile::randomOwnership(makeRandomTree(10, rng), rng);
-  const Graph g1 = p1.buildGraph();
-  const Graph g2 = p2.buildGraph();
-  const GameParams params = GameParams::sum(1.0, 2);
-
-  BestResponseScratch scratch;
-  MoveDistanceOracle oracle;
-  const PlayerView v1 = buildPlayerView(g1, p1, 0, params.k);
-  const PlayerView v2 = buildPlayerView(g2, p2, 0, params.k);
-  const BestResponse a = greedyMove(v1, params, scratch, oracle, 0);
-  const BestResponse b = greedyMove(v2, params, scratch, oracle, 0);
-  EXPECT_EQ(a.strategyGlobal, greedyMoveReference(v1, params).strategyGlobal);
-  EXPECT_EQ(b.strategyGlobal, greedyMoveReference(v2, params).strategyGlobal);
 }
 
 }  // namespace
