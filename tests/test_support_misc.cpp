@@ -1,10 +1,9 @@
-// Tests for error handling, timing, logging and string helpers.
+// Tests for error handling, timing and string helpers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "support/error.hpp"
-#include "support/log.hpp"
 #include "support/string_util.hpp"
 #include "support/timer.hpp"
 
@@ -34,17 +33,6 @@ TEST(Timer, MeasuresForwardTime) {
   EXPECT_GE(timer.millis(), 0.0);
   timer.reset();
   EXPECT_LT(timer.seconds(), 1.0);
-}
-
-TEST(Log, LevelRoundTrip) {
-  const LogLevel original = logLevel();
-  setLogLevel(LogLevel::kDebug);
-  EXPECT_EQ(logLevel(), LogLevel::kDebug);
-  setLogLevel(LogLevel::kError);
-  EXPECT_EQ(logLevel(), LogLevel::kError);
-  // Suppressed message must not crash.
-  NCG_LOG_DEBUG("dropped " << 1);
-  setLogLevel(original);
 }
 
 TEST(StringUtil, Join) {
