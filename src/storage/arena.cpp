@@ -620,10 +620,11 @@ void CsrArena::patchRow(NodeId u, std::span<const NodeId> ids,
     slot.len = newLen;
   }
 
+  // std::copy, not memcpy: an emptied row's spans may hold null data
+  // pointers, which memcpy must not be passed even for zero bytes.
   const RowSlot& slot = layout.slots[r];
-  std::memcpy(layout.ids + slot.offsetArcs, ids.data(),
-              ids.size() * sizeof(NodeId));
-  std::memcpy(layout.owned + slot.offsetArcs, owned.data(), owned.size());
+  std::copy(ids.begin(), ids.end(), layout.ids + slot.offsetArcs);
+  std::copy(owned.begin(), owned.end(), layout.owned + slot.offsetArcs);
   ++layout.header->revision;
   dirty_[static_cast<std::size_t>(p)] = true;
 }
