@@ -11,7 +11,23 @@
 #include "graph/metrics.hpp"
 
 namespace ncg {
+
+// Prints the fields: gtest_discover_tests appends this text to the
+// CTest name, and gtest's fallback (a hex dump of the object, with its
+// padding and the vector's heap pointers) changes from build to build.
+// TorusParams lives in ncg, so argument-dependent lookup finds this
+// overload here and not in the unnamed namespace below.
+void PrintTo(const TorusParams& params, std::ostream* os) {
+  *os << '(' << params.ell << ", "
+      << ::testing::PrintToString(params.delta) << ')';
+}
+
 namespace {
+
+TEST(TorusParamsPrinting, PrintsFieldsNotBytes) {
+  EXPECT_EQ(::testing::PrintToString(TorusParams{2, {2, 2, 3}}),
+            "(2, { 2, 2, 3 })");
+}
 
 std::string torusName(
     const ::testing::TestParamInfo<TorusParams>& info) {
