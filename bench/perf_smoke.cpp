@@ -97,9 +97,10 @@ CaseResult dynamicsCase(const char* name, std::uint64_t seed, NodeId n,
 
 /// Clean-wakeup slice: full-knowledge MaxNCG dynamics with the
 /// best-response memoization off, so after round 1 almost every wakeup
-/// re-solves an unchanged view. Pins the construction path those
-/// re-solves take (lazy per-radius instances, ballDone retirement),
-/// which every MaxNCG solve runs from radius 0.
+/// rebuilds and re-solves an unchanged view. Pins the view extraction
+/// and the construction path those re-solves take (lazy per-radius
+/// instances, ballDone retirement), which every MaxNCG solve runs from
+/// radius 0.
 CaseResult noBrCacheSlice() {
   WallTimer timer;
   std::size_t moves = 0;

@@ -1,7 +1,5 @@
 #include "core/player_view.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 
 namespace ncg {
@@ -27,55 +25,6 @@ void buildPlayerView(const Graph& g, const StrategyProfile& profile,
 void buildPlayerView(const CsrGraph& g, const StrategyProfile& profile,
                      NodeId u, Dist k, BfsEngine& engine, PlayerView& out) {
   buildPlayerViewT(g, profile, u, k, engine, out);
-}
-
-std::uint64_t viewFingerprint(const PlayerView& pv) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value;
-    h *= 1099511628211ULL;
-  };
-  const auto globalOf = [&pv](NodeId local) {
-    return static_cast<std::uint64_t>(
-        pv.view.toGlobal[static_cast<std::size_t>(local)]);
-  };
-
-  mix(static_cast<std::uint64_t>(pv.view.radius));
-  mix(static_cast<std::uint64_t>(pv.globalPlayer));
-
-  // Membership and induced edges in global ids, canonically ordered.
-  std::vector<NodeId> members = pv.view.toGlobal;
-  std::sort(members.begin(), members.end());
-  for (NodeId m : members) mix(static_cast<std::uint64_t>(m) + 1);
-
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(pv.view.graph.edgeCount());
-  for (const Edge& e : pv.view.graph.edges()) {
-    const auto a = static_cast<NodeId>(globalOf(e.u));
-    const auto b = static_cast<NodeId>(globalOf(e.v));
-    edges.emplace_back(std::min(a, b), std::max(a, b));
-  }
-  std::sort(edges.begin(), edges.end());
-  mix(0xED6E5ULL);
-  for (const auto& [a, b] : edges) {
-    mix(static_cast<std::uint64_t>(a) * 0x1000193ULL +
-        static_cast<std::uint64_t>(b));
-  }
-
-  // Free neighbors and the current strategy (both already sorted locally;
-  // map to sorted global lists for canonical order).
-  const auto mixLocalList = [&](const std::vector<NodeId>& locals,
-                                std::uint64_t tag) {
-    std::vector<std::uint64_t> globals;
-    globals.reserve(locals.size());
-    for (NodeId l : locals) globals.push_back(globalOf(l));
-    std::sort(globals.begin(), globals.end());
-    mix(tag);
-    for (std::uint64_t g : globals) mix(g + 1);
-  };
-  mixLocalList(pv.freeNeighborsLocal, 0xF9EEULL);
-  mixLocalList(pv.ownBoughtLocal, 0x0B0D7ULL);
-  return h;
 }
 
 }  // namespace ncg

@@ -120,11 +120,4 @@ void buildPlayerViewT(const AnyGraph& g, const AnyProfile& profile, NodeId u,
   std::sort(out.freeNeighborsLocal.begin(), out.freeNeighborsLocal.end());
 }
 
-/// Deterministic fingerprint of everything a best response depends on:
-/// the radius, the view's membership and induced edges (in global ids),
-/// the free-neighbor set and the player's own strategy. Two views with
-/// equal fingerprints yield the same best response, so the dynamics
-/// layer can skip re-solving for players whose situation is unchanged.
-std::uint64_t viewFingerprint(const PlayerView& pv);
-
 }  // namespace ncg

@@ -7,10 +7,7 @@
 namespace ncg {
 
 DynamicsCache::DynamicsCache(NodeId players, Dist k)
-    : k_(k),
-      views_(static_cast<std::size_t>(players)),
-      valid_(static_cast<std::size_t>(players), false),
-      settled_(static_cast<std::size_t>(players), false) {
+    : k_(k), settled_(static_cast<std::size_t>(players), false) {
   NCG_REQUIRE(players >= 0, "player count must be non-negative");
   NCG_REQUIRE(k >= 1, "view radius must be >= 1, got " << k);
 }
@@ -27,22 +24,16 @@ void DynamicsCache::syncMirror(const Graph& g) {
 const PlayerView& DynamicsCache::viewOf(const Graph& g,
                                         const StrategyProfile& profile,
                                         NodeId u) {
-  const auto slot = static_cast<std::size_t>(u);
-  if (!valid_[slot]) {
-    syncMirror(g);
-    buildPlayerView(mirror_, profile, u, k_, engine_, views_[slot]);
-    valid_[slot] = true;
-    ++rebuilds_;
-  }
-  return views_[slot];
+  syncMirror(g);
+  buildPlayerView(mirror_, profile, u, k_, engine_, view_);
+  ++rebuilds_;
+  return view_;
 }
 
 void DynamicsCache::invalidateBall(NodeId u) {
   engine_.run(mirror_, u, k_);
   for (NodeId w : engine_.visited()) {
-    const auto slot = static_cast<std::size_t>(w);
-    valid_[slot] = false;
-    settled_[slot] = false;
+    settled_[static_cast<std::size_t>(w)] = false;
   }
 }
 
@@ -181,9 +172,6 @@ void DynamicsCache::applyDeparture(Graph& g, StrategyProfile& profile,
     patchRows_.push_back(v);
   }
   mirror_.patchRows(g, patchRows_);
-
-  valid_[static_cast<std::size_t>(u)] = false;
-  settled_[static_cast<std::size_t>(u)] = false;
 }
 
 }  // namespace ncg

@@ -1,24 +1,23 @@
 // Incremental state for best-response dynamics.
 //
-// The naive dynamics loop rebuilds every player's k-view (and, after each
-// accepted move, the whole network) from scratch. This cache exploits the
-// locality of the game instead: a move by player u only changes edges
-// incident to u, so the k-view of a player w can differ from its cached
-// copy only if w lies within distance <= k of u in the pre- or the
-// post-move network — any shortest path of length <= k that gains or
-// loses a changed edge passes through u within the first k hops. Views of
-// all other players are provably byte-identical, so they are neither
-// re-extracted nor re-solved ("settled" players), which makes quiet
-// rounds near-free. The cache keeps views and settled flags only: a best
-// response depends on nothing but the solving player's view, and a
-// settled player is skipped rather than re-solved, so no solver state is
-// kept per player (every solve starts from the view, reusing only the
-// shared BestResponseScratch buffers).
+// A move by player u only changes edges incident to u, so the k-view of a
+// player w can change only if w lies within distance <= k of u in the
+// pre- or the post-move network — any shortest path of length <= k that
+// gains or loses a changed edge passes through u within the first k hops.
+// The cache exploits that locality: a player whose last solve was
+// non-improving is "settled", and every move clears the settled flag of
+// each player in both balls. A settled player's view is therefore
+// byte-identical to the one its verdict was computed on, so its turn is
+// skipped outright, which makes quiet rounds near-free. Nothing else is
+// kept per player: a best response depends on nothing but the solving
+// player's view, so viewOf rebuilds the view into one reused buffer and
+// every solve starts from it, reusing only the shared BestResponseScratch
+// buffers.
 //
-// The cache is an optimization layer only: runBestResponseDynamics with
-// EngineMode::kIncremental produces exactly the move sequence of
-// EngineMode::kReference (the retained naive path), and the differential
-// test suite (`ctest -L differential`) holds it to that.
+// The cache is an optimization layer only: the differential suite
+// (`ctest -L differential`) holds the dynamics loops built on it to a
+// naive loop that rebuilds G(σ) and every view from the profile at every
+// turn.
 #pragma once
 
 #include <cstddef>
@@ -36,37 +35,51 @@
 
 namespace ncg {
 
-/// Memoized per-player views with distance-<=k dirty tracking.
-/// Not thread-safe; one cache per dynamics run.
+/// Settled flags with distance-<=k dirty tracking, plus a CSR mirror of
+/// G that views are extracted from. Not thread-safe; one cache per
+/// dynamics run.
 class DynamicsCache {
  public:
   /// Cache for `players` players at view radius `k`.
   DynamicsCache(NodeId players, Dist k);
 
-  /// The view of u for the current state. `g` and `profile` must be the
-  /// state every prior applyMove() call produced; the cached copy is
-  /// returned when still valid, otherwise it is rebuilt in place.
-  /// The reference stays valid until the next applyMove().
+  /// The view of u for the current state, rebuilt into one reused buffer
+  /// by a BFS over the CSR mirror. `g` and `profile` must be the state
+  /// every prior applyMove() call produced. The reference stays valid
+  /// until the next viewOf() or applyMove().
   const PlayerView& viewOf(const Graph& g, const StrategyProfile& profile,
                            NodeId u);
 
-  /// True when u's cached view is valid and recorded non-improving: the
-  /// solve can be skipped because an identical view yields an identical
-  /// (non-improving) best response.
+  /// True when u's last solve was non-improving and no change since has
+  /// come within distance k of u: the view is the one that verdict was
+  /// computed on, so the solve can be skipped.
   bool isSettled(NodeId u) const {
-    const auto slot = static_cast<std::size_t>(u);
-    return valid_[slot] && settled_[slot];
+    return settled_[static_cast<std::size_t>(u)];
   }
 
-  /// Records that u's current (valid) view admits no improving move.
+  /// Records that u's current view admits no improving move.
   void markSettled(NodeId u) { settled_[static_cast<std::size_t>(u)] = true; }
+
+  /// One player turn. A settled u is skipped and gets a default (not
+  /// improving, exact) response. Otherwise `solve` runs on u's view, and
+  /// when its response does not improve and `settle` is set, u is marked
+  /// settled. The caller applies an improving response.
+  template <typename Solve>
+  BestResponse solveTurn(const Graph& g, const StrategyProfile& profile,
+                         NodeId u, bool settle, Solve&& solve) {
+    if (isSettled(u)) return {};
+    BestResponse br = solve(viewOf(g, profile, u));
+    if (settle && !br.improving) markSettled(u);
+    return br;
+  }
 
   /// Applies u's accepted strategy change in place: edits only the edges
   /// that actually differ (respecting double-bought links) instead of
-  /// rebuilding G(σ), and invalidates every cached view within distance
-  /// <= k of u in the pre- or post-move network. `newStrategy` must be
-  /// sorted (bestResponse/greedyMove proposals are). The flat CSR mirror
-  /// of G is patched in place for exactly the rows the move touched.
+  /// rebuilding G(σ), and clears the settled flag of every player within
+  /// distance <= k of u in the pre- or post-move network. `newStrategy`
+  /// must be sorted (bestResponse/greedyMove proposals are). The flat CSR
+  /// mirror of G is patched in place for exactly the rows the move
+  /// touched.
   void applyMove(Graph& g, StrategyProfile& profile, NodeId u,
                  const std::vector<NodeId>& newStrategy);
 
@@ -83,9 +96,9 @@ class DynamicsCache {
   /// buyers get u stripped from their strategies — leaving u isolated
   /// with an empty strategy. Unlike a move this rewrites several
   /// players' strategies at once, but every changed edge is still
-  /// incident to u, so the pre-departure distance-<= k ball around u
-  /// covers every view that can change (removals only grow distances).
-  /// u's own cached view is invalidated too.
+  /// incident to u, so the pre-departure distance-<= k ball around u,
+  /// u included, covers every view that can change (removals only grow
+  /// distances).
   void applyDeparture(Graph& g, StrategyProfile& profile, NodeId u);
 
   /// Stubs for perfbench/ncg_trace.cpp, which changes only together with
@@ -98,7 +111,8 @@ class DynamicsCache {
   }
   std::uint64_t viewRevision(NodeId) const { return 0; }
 
-  /// View rebuilds performed so far (diagnostics for benches/tests).
+  /// View rebuilds performed so far, one per viewOf() call (diagnostics
+  /// for benches/tests).
   std::size_t rebuilds() const { return rebuilds_; }
 
  private:
@@ -106,9 +120,8 @@ class DynamicsCache {
   void syncMirror(const Graph& g);
 
   Dist k_ = 1;
-  std::vector<PlayerView> views_;
-  std::vector<bool> valid_;
   std::vector<bool> settled_;
+  PlayerView view_;     ///< the buffer viewOf rebuilds into
   CsrGraph mirror_;     ///< flat CSR copy of G, patched per applyMove
   bool mirrorValid_ = false;
   std::vector<NodeId> patchRows_;

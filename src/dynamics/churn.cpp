@@ -1,10 +1,7 @@
 #include "dynamics/churn.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "core/player_view.hpp"
-#include "core/restricted_moves.hpp"
 #include "dynamics/cache.hpp"
 #include "graph/metrics.hpp"
 #include "support/error.hpp"
@@ -54,8 +51,6 @@ bool removalKeepsConnected(const Graph& g, const std::vector<bool>& active,
 ChurnResult runChurnDynamics(const StrategyProfile& initial,
                              const ChurnConfig& config) {
   NCG_REQUIRE(config.params.k >= 1, "view radius must be >= 1");
-  NCG_REQUIRE(config.moveRule != MoveRule::kNoisy,
-              "churn dynamics supports the deterministic move rules");
   NCG_REQUIRE(config.churnRounds >= 1 && config.settleRounds >= 1,
               "need at least one round in each phase");
   NCG_REQUIRE(config.churnPeriod >= 1, "churn period must be >= 1");
@@ -74,21 +69,13 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
   result.active.assign(static_cast<std::size_t>(capacity), true);
   NodeId activeCount = capacity;
 
-  const bool incremental = config.engine == EngineMode::kIncremental;
-  BfsEngine engine;
   BestResponseScratch scratch;
-  DynamicsCache cache(incremental ? capacity : 0, config.params.k);
+  DynamicsCache cache(capacity, config.params.k);
   Rng churnRng(config.churnSeed);
-
+  const BestResponseOptions options;
   const auto solve = [&](const PlayerView& pv) {
-    return config.moveRule == MoveRule::kGreedy
-               ? greedyMove(pv, config.params, scratch)
-               : bestResponse(pv, config.params, config.br, scratch);
+    return bestResponse(pv, config.params, options, scratch);
   };
-
-  std::vector<std::uint64_t> settledFingerprint(
-      static_cast<std::size_t>(capacity), 0);
-  std::vector<bool> hasSettled(static_cast<std::size_t>(capacity), false);
 
   const auto recordMove = [&](int round, NodeId u, const BestResponse& br) {
     if (!config.collectMoves) return;
@@ -101,51 +88,17 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
     result.moves.push_back(std::move(record));
   };
 
-  // One activation of active player u — the sequential body of
+  // One activation of active player u — the sequential turn of
   // runBestResponseDynamics restricted to the live population.
   const auto activate = [&](int round, NodeId u) -> bool {
-    if (incremental) {
-      if (config.useBestResponseCache && cache.isSettled(u)) return false;
-      const BestResponse br =
-          solve(cache.viewOf(result.graph, result.profile, u));
-      result.exact = result.exact && br.exact;
-      if (br.improving) {
-        recordMove(round, u, br);
-        cache.applyMove(result.graph, result.profile, u, br.strategyGlobal);
-        ++result.totalMoves;
-        return true;
-      }
-      if (config.useBestResponseCache) cache.markSettled(u);
-      return false;
-    }
-    const PlayerView pv = buildPlayerView(result.graph, result.profile, u,
-                                          config.params.k, engine);
-    const auto slot = static_cast<std::size_t>(u);
-    std::uint64_t fingerprint = 0;
-    if (config.useBestResponseCache) {
-      fingerprint = viewFingerprint(pv);
-      if (hasSettled[slot] && settledFingerprint[slot] == fingerprint) {
-        return false;
-      }
-    }
-    const BestResponse br =
-        config.moveRule == MoveRule::kBestResponse
-            ? bestResponse(pv, config.params, config.br)
-            : greedyMove(pv, config.params);
+    const BestResponse br = cache.solveTurn(result.graph, result.profile, u,
+                                            /*settle=*/true, solve);
     result.exact = result.exact && br.exact;
-    if (br.improving) {
-      recordMove(round, u, br);
-      result.profile.setStrategy(u, br.strategyGlobal);
-      result.graph = result.profile.buildGraph();
-      ++result.totalMoves;
-      hasSettled[slot] = false;
-      return true;
-    }
-    if (config.useBestResponseCache) {
-      hasSettled[slot] = true;
-      settledFingerprint[slot] = fingerprint;
-    }
-    return false;
+    if (!br.improving) return false;
+    recordMove(round, u, br);
+    cache.applyMove(result.graph, result.profile, u, br.strategyGlobal);
+    ++result.totalMoves;
+    return true;
   };
 
   const auto roundPass = [&](int round) -> bool {
@@ -163,26 +116,7 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
   std::vector<bool> bfsSeen;
 
   const auto depart = [&](int round, NodeId u) {
-    if (incremental) {
-      cache.applyDeparture(result.graph, result.profile, u);
-    } else {
-      // Reference replay of the departure: strip u from every buyer's
-      // strategy, clear u's own, rebuild from scratch.
-      std::vector<NodeId> trimmed;
-      const std::vector<NodeId> former(result.graph.neighborsUnchecked(u).begin(),
-                                       result.graph.neighborsUnchecked(u).end());
-      for (const NodeId v : former) {
-        const std::vector<NodeId>& sigmaV = result.profile.strategyOf(v);
-        if (std::binary_search(sigmaV.begin(), sigmaV.end(), u)) {
-          trimmed.assign(sigmaV.begin(), sigmaV.end());
-          trimmed.erase(std::find(trimmed.begin(), trimmed.end(), u));
-          result.profile.setStrategy(v, trimmed);
-        }
-      }
-      result.profile.setStrategy(u, {});
-      result.graph = result.profile.buildGraph();
-    }
-    hasSettled[static_cast<std::size_t>(u)] = false;
+    cache.applyDeparture(result.graph, result.profile, u);
     result.active[static_cast<std::size_t>(u)] = false;
     --activeCount;
     result.events.push_back({round, false, u, {}});
@@ -191,13 +125,7 @@ ChurnResult runChurnDynamics(const StrategyProfile& initial,
   const auto arrive = [&](int round, NodeId slot,
                           std::vector<NodeId> strategy) {
     std::sort(strategy.begin(), strategy.end());
-    if (incremental) {
-      cache.applyArrival(result.graph, result.profile, slot, strategy);
-    } else {
-      result.profile.setStrategy(slot, strategy);
-      result.graph = result.profile.buildGraph();
-    }
-    hasSettled[static_cast<std::size_t>(slot)] = false;
+    cache.applyArrival(result.graph, result.profile, slot, strategy);
     result.active[static_cast<std::size_t>(slot)] = true;
     ++activeCount;
     result.events.push_back({round, true, slot, std::move(strategy)});

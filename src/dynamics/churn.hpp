@@ -12,12 +12,31 @@
 // remaining active players connected, and arrivals buy their first edge
 // into the active component.
 //
+// The rules, which the differential suite's naive loop follows:
+//  * A round activates the active players in ascending id, each playing
+//    the exact best response of her k-view and moving at once when it
+//    strictly improves (the sequential turn of runBestResponseDynamics).
+//  * The churn phase plays rounds 1..churnRounds; after every round r
+//    with r % churnPeriod == 0 one churn event happens, stamped round r.
+//    The settle phase then plays up to settleRounds more rounds and
+//    converges at the first round in which nobody moved.
+//  * An event tosses one coin, churnRng.nextDouble() <
+//    departureProbability for a departure. An infeasible event is
+//    dropped after that coin: a departure with at most minActive active
+//    players, an arrival with no free slot.
+//  * A departure draws start = churnRng.nextBounded(m) over the m active
+//    players in id order and removes the first of active[(start + i) % m],
+//    i = 0..m−1, whose removal keeps the other active players connected.
+//  * An arrival takes the lowest free slot and buys min(arrivalEdges, m)
+//    endpoints, drawn by a partial Fisher–Yates over the active list in
+//    id order: for j = 0, 1, …, swap slot j with slot
+//    j + churnRng.nextBounded(m − j), and buy the first entries.
+//
 // Cache correctness: churn events go through DynamicsCache::
 // applyArrival / applyDeparture, which extend the distance-<= k dirty
 // tracking to node insertion/removal; the cache holds no per-player
-// solver state, so a recycled slot starts from a freshly built view.
-// EngineMode::kReference replays the same trajectory through
-// from-scratch rebuilds; the differential suite pins the two identical.
+// view or solver state, so a recycled slot starts from a freshly built
+// view.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +60,7 @@ struct ChurnEvent {
 /// Configuration of a churn run.
 struct ChurnConfig {
   GameParams params;
-  BestResponseOptions br;
-  MoveRule moveRule = MoveRule::kBestResponse;
-  EngineMode engine = EngineMode::kIncremental;
-  bool collectMoves = false;
-  bool useBestResponseCache = true;
+  bool collectMoves = false;  ///< record every accepted move in `moves`
   int churnRounds = 12;   ///< rounds of the churn phase
   int churnPeriod = 3;    ///< every churnPeriod-th round ends in an event
   int settleRounds = 40;  ///< post-churn rounds to reach an equilibrium
@@ -56,8 +71,7 @@ struct ChurnConfig {
 };
 
 /// Result of a churn run. `outcome` describes the settle phase:
-/// kConverged means the final active population reached an equilibrium
-/// of the configured move rule.
+/// kConverged means the final active population reached an LKE.
 struct ChurnResult {
   DynamicsOutcome outcome = DynamicsOutcome::kRoundLimit;
   int rounds = 0;              ///< total rounds played (both phases)

@@ -31,10 +31,8 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
               "the model assumes players start on a connected network");
 
   const NodeId n = result.profile.playerCount();
-  const bool incremental = config.engine == EngineMode::kIncremental;
-  BfsEngine engine;
   BestResponseScratch scratch;
-  DynamicsCache cache(incremental ? n : 0, config.params.k);
+  DynamicsCache cache(n, config.params.k);
   Rng scheduleRng(config.scheduleSeed);
   Rng noiseRng(config.noiseSeed);
 
@@ -55,74 +53,49 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
       perPlayerParams.push_back(config.params.forPlayer(u));
     }
   }
-  const auto playerParams = [&](NodeId u) -> const GameParams& {
-    return hetero ? perPlayerParams[static_cast<std::size_t>(u)]
-                  : config.params;
-  };
 
-  const auto bestResponseSolve = [&](const PlayerView& pv, NodeId u) {
-    return bestResponse(pv, playerParams(u), config.br, scratch);
-  };
   // Noisy rule: one seeded softmax draw over the improving single-edge
   // moves; quiet enumerations advance nothing, and a quiet player is
   // then held to the exact best response so convergence still certifies
-  // an LKE. The draw sequence is engine-invariant: a draw happens
-  // exactly when the improving set is non-empty, and such players are
-  // never settled-skipped by either engine.
-  const auto noisySolve = [&](const PlayerView& pv, NodeId u) {
-    BestResponse br = noisyGreedyMove(pv, playerParams(u),
-                                      config.temperature, noiseRng, scratch);
-    if (br.improving) return br;
-    return bestResponseSolve(pv, u);
+  // an LKE. A settled player would draw nothing, so skipping her turn
+  // leaves the draw sequence unchanged.
+  const BestResponseOptions options;
+  const auto solve = [&](const PlayerView& pv) {
+    const GameParams& params =
+        hetero ? perPlayerParams[static_cast<std::size_t>(pv.globalPlayer)]
+               : config.params;
+    if (config.moveRule == MoveRule::kGreedy) {
+      return greedyMove(pv, params, scratch);
+    }
+    if (config.moveRule == MoveRule::kNoisy) {
+      BestResponse br = noisyGreedyMove(pv, params, config.temperature,
+                                        noiseRng, scratch);
+      if (br.improving) return br;
+    }
+    return bestResponse(pv, params, options, scratch);
+  };
+  const auto turn = [&](NodeId u) {
+    BestResponse br = cache.solveTurn(result.graph, result.profile, u,
+                                      config.useBestResponseCache, solve);
+    result.exact = result.exact && br.exact;
+    return br;
   };
 
   // Cycle detection is only sound when the round map profile -> next
   // profile is a function: any deterministic schedule qualifies
   // (round-robin, adversarial, simultaneous application in id order),
   // random permutations and the noisy rule's softmax draws do not.
-  const bool deterministicRounds =
+  const bool detectCycles =
       config.schedule != Schedule::kRandomPermutation &&
       config.moveRule != MoveRule::kNoisy;
-  const bool detectCycles = config.detectCycles && deterministicRounds;
   std::unordered_map<std::uint64_t, std::vector<StrategyProfile>> seen;
   if (detectCycles) {
     seen[result.profile.hash()].push_back(result.profile);
   }
 
-  // Reference-mode best-response memoization: a player whose view
-  // fingerprint is unchanged since her last non-improving check cannot
-  // have gained an improving move (moves depend only on the view), so the
-  // expensive solve is skipped. The incremental engine reaches the same
-  // conclusion for free from the cache's dirty tracking — an untouched
-  // cached view IS an unchanged view — without hashing anything.
-  std::vector<std::uint64_t> settledFingerprint(
-      static_cast<std::size_t>(n), 0);
-  std::vector<bool> hasSettled(static_cast<std::size_t>(n), false);
-
   std::vector<NodeId> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), NodeId{0});
 
-  const auto solve = [&](const PlayerView& pv, NodeId u) {
-    if (config.moveRule == MoveRule::kBestResponse) {
-      return bestResponseSolve(pv, u);
-    }
-    if (config.moveRule == MoveRule::kGreedy) {
-      return greedyMove(pv, playerParams(u), scratch);
-    }
-    return noisySolve(pv, u);
-  };
-  const auto referenceSolve = [&](const PlayerView& pv, NodeId u) {
-    if (config.moveRule == MoveRule::kBestResponse) {
-      return bestResponse(pv, playerParams(u), config.br);
-    }
-    if (config.moveRule == MoveRule::kGreedy) {
-      return greedyMove(pv, playerParams(u));
-    }
-    BestResponse br = noisyGreedyMove(pv, playerParams(u),
-                                      config.temperature, noiseRng, scratch);
-    if (br.improving) return br;
-    return bestResponse(pv, playerParams(u), config.br);
-  };
   const auto recordMove = [&](int round, NodeId u, const BestResponse& br) {
     if (!config.collectMoves) return;
     MoveRecord record;
@@ -137,50 +110,12 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
   // One sequential activation of player u: solve against the current
   // state, apply on strict improvement. Returns whether a move happened.
   const auto activate = [&](int round, NodeId u) -> bool {
-    if (incremental) {
-      if (config.useBestResponseCache && cache.isSettled(u)) {
-        return false;  // view untouched since a non-improving check
-      }
-      const BestResponse br =
-          solve(cache.viewOf(result.graph, result.profile, u), u);
-      result.exact = result.exact && br.exact;
-      if (br.improving) {
-        recordMove(round, u, br);
-        cache.applyMove(result.graph, result.profile, u, br.strategyGlobal);
-        ++result.totalMoves;
-        return true;
-      }
-      if (config.useBestResponseCache) cache.markSettled(u);
-      return false;
-    }
-
-    // Reference path: re-extract the view and rebuild the network from
-    // scratch, exactly as the seed implementation did.
-    const PlayerView pv = buildPlayerView(result.graph, result.profile, u,
-                                          config.params.k, engine);
-    const auto slot = static_cast<std::size_t>(u);
-    std::uint64_t fingerprint = 0;
-    if (config.useBestResponseCache) {
-      fingerprint = viewFingerprint(pv);
-      if (hasSettled[slot] && settledFingerprint[slot] == fingerprint) {
-        return false;  // unchanged situation, known non-improving
-      }
-    }
-    const BestResponse br = referenceSolve(pv, u);
-    result.exact = result.exact && br.exact;
-    if (br.improving) {
-      recordMove(round, u, br);
-      result.profile.setStrategy(u, br.strategyGlobal);
-      result.graph = result.profile.buildGraph();
-      ++result.totalMoves;
-      hasSettled[slot] = false;
-      return true;
-    }
-    if (config.useBestResponseCache) {
-      hasSettled[slot] = true;
-      settledFingerprint[slot] = fingerprint;
-    }
-    return false;
+    const BestResponse br = turn(u);
+    if (!br.improving) return false;
+    recordMove(round, u, br);
+    cache.applyMove(result.graph, result.profile, u, br.strategyGlobal);
+    ++result.totalMoves;
+    return true;
   };
 
   // Adversarial bookkeeping: current player costs, recomputed only for
@@ -201,44 +136,15 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
 
     if (config.roundMode == RoundMode::kSimultaneous) {
       // Phase 1: everyone best-responds against the round-start snapshot
-      // (no state mutates until every solve is done, so cached and
-      // re-extracted views alike see the snapshot).
+      // (no state mutates until every solve is done).
       struct Proposal {
         NodeId player;
         BestResponse br;
       };
       std::vector<Proposal> proposals;
       for (NodeId u = 0; u < n; ++u) {
-        if (incremental) {
-          if (config.useBestResponseCache && cache.isSettled(u)) continue;
-          BestResponse br =
-              solve(cache.viewOf(result.graph, result.profile, u), u);
-          result.exact = result.exact && br.exact;
-          if (br.improving) {
-            proposals.push_back({u, std::move(br)});
-          } else if (config.useBestResponseCache) {
-            cache.markSettled(u);
-          }
-          continue;
-        }
-        const PlayerView pv = buildPlayerView(
-            result.graph, result.profile, u, config.params.k, engine);
-        const auto slot = static_cast<std::size_t>(u);
-        std::uint64_t fingerprint = 0;
-        if (config.useBestResponseCache) {
-          fingerprint = viewFingerprint(pv);
-          if (hasSettled[slot] && settledFingerprint[slot] == fingerprint) {
-            continue;
-          }
-        }
-        BestResponse br = referenceSolve(pv, u);
-        result.exact = result.exact && br.exact;
-        if (br.improving) {
-          proposals.push_back({u, std::move(br)});
-        } else if (config.useBestResponseCache) {
-          hasSettled[slot] = true;
-          settledFingerprint[slot] = fingerprint;
-        }
+        BestResponse br = turn(u);
+        if (br.improving) proposals.push_back({u, std::move(br)});
       }
       if (proposals.empty()) {
         // Nobody improves on the snapshot: it is an equilibrium of the
@@ -259,23 +165,12 @@ DynamicsResult runBestResponseDynamics(const StrategyProfile& initial,
       for (Proposal& p : proposals) {
         const std::vector<NodeId> oldStrategy =
             result.profile.strategyOf(p.player);
-        if (incremental) {
+        cache.applyMove(result.graph, result.profile, p.player,
+                        p.br.strategyGlobal);
+        if (!isConnected(result.graph)) {
           cache.applyMove(result.graph, result.profile, p.player,
-                          p.br.strategyGlobal);
-          if (!isConnected(result.graph)) {
-            cache.applyMove(result.graph, result.profile, p.player,
-                            oldStrategy);
-            continue;
-          }
-        } else {
-          result.profile.setStrategy(p.player, p.br.strategyGlobal);
-          result.graph = result.profile.buildGraph();
-          if (!isConnected(result.graph)) {
-            result.profile.setStrategy(p.player, oldStrategy);
-            result.graph = result.profile.buildGraph();
-            continue;
-          }
-          hasSettled[static_cast<std::size_t>(p.player)] = false;
+                          oldStrategy);
+          continue;
         }
         recordMove(round, p.player, p.br);
         moved = true;

@@ -9,6 +9,28 @@
 //    the current round already appeared as the last strategy profile of
 //    any previous round. In this case […] the best-response dynamics
 //    admits a cycle."
+//
+// Each turn depends only on the mover's radius-k view: player u solves
+// her view under params.forPlayer(u) with the configured MoveRule and
+// moves when the response strictly improves her in-view cost. The loop
+// runs on DynamicsCache, which skips a player whose view is unchanged
+// since a non-improving solve; the differential suite checks every
+// trajectory against a naive loop written from the rules stated in this
+// header, which rebuilds G(σ) and the view from the profile at every
+// turn.
+//
+// Round structure:
+//  * A sequential round activates every player once in the schedule's
+//    order and applies each improving move at once; it converges when
+//    nobody moved.
+//  * A simultaneous round (RoundMode::kSimultaneous) converges when
+//    nobody proposes a move.
+//  * Cycles are checked only when rounds are deterministic (neither
+//    kRandomPermutation nor kNoisy): the profile after a round that did
+//    not converge is compared with the initial profile and with the
+//    profile after every earlier round, and a repeat ends the run with
+//    kCycleDetected.
+//  * Otherwise the run stops after maxRounds rounds with kRoundLimit.
 #pragma once
 
 #include <vector>
@@ -34,18 +56,24 @@ enum class MoveRule {
                   ///< (the Lenzner-style restricted variant; ablation)
   kNoisy,         ///< temperature-style noisy best response: a seeded
                   ///< softmax draw over the improving single-edge moves
-                  ///< (noisyGreedyMove); when none improves, the exact
-                  ///< best response is consulted, so a converged run is
-                  ///< still a certified LKE
+                  ///< (noisyGreedyMove, which draws from the noise stream
+                  ///< only when some move improves); when none improves,
+                  ///< the exact best response is consulted, so a
+                  ///< converged run is still a certified LKE
 };
 
 /// Player activation order within a round.
 enum class Schedule {
   kRoundRobin,         ///< 0..n−1 every round (the paper's protocol)
-  kRandomPermutation,  ///< a fresh uniform order each round
+  kRandomPermutation,  ///< a fresh uniform order each round: the
+                       ///< previous round's order (initially 0..n−1) is
+                       ///< reshuffled in place by Fisher–Yates from the
+                       ///< back, swapping slot i−1 with slot
+                       ///< scheduleRng.nextBounded(i) for i = n..2
   kAdversarial,        ///< always wake the worst-off player next: each
                        ///< activation picks the not-yet-woken player with
-                       ///< the highest current cost (ties → lowest id),
+                       ///< the highest current cost C_u(σ) in G(σ)
+                       ///< (playerCost; ties → lowest id),
                        ///< re-evaluated after every accepted move.
                        ///< Deterministic, so cycle detection stays sound.
 };
@@ -61,21 +89,9 @@ enum class RoundMode {
                   ///< no player improves on the snapshot — an LKE.
 };
 
-/// Which implementation executes the dynamics. Both produce identical
-/// move sequences, profiles and costs (enforced by the differential test
-/// suite, `ctest -L differential`); they differ only in speed.
-enum class EngineMode {
-  kIncremental,  ///< DynamicsCache: memoized k-views with distance-<=k
-                 ///< dirty tracking, in-place graph diffs, reusable
-                 ///< solver scratch (the default)
-  kReference,    ///< the naive seed path: every view re-extracted, the
-                 ///< network rebuilt after every move (oracle for
-                 ///< differential testing)
-};
-
 /// One accepted strategy change, in activation order (recorded when
 /// DynamicsConfig::collectMoves is set; the differential suite compares
-/// these across engine modes).
+/// these with the naive loop's).
 struct MoveRecord {
   int round = 0;
   NodeId player = -1;
@@ -89,9 +105,7 @@ struct MoveRecord {
 /// Configuration of a dynamics run.
 struct DynamicsConfig {
   GameParams params;
-  BestResponseOptions br;
   int maxRounds = 1000;
-  bool detectCycles = true;
   bool collectTrace = false;  ///< record NetworkFeatures after every round
   MoveRule moveRule = MoveRule::kBestResponse;
   Schedule schedule = Schedule::kRoundRobin;
@@ -99,11 +113,10 @@ struct DynamicsConfig {
   RoundMode roundMode = RoundMode::kSequential;
   double temperature = 0.5;       ///< softmax temperature for kNoisy
   std::uint64_t noiseSeed = 0;    ///< seeds kNoisy's softmax draws
-  EngineMode engine = EngineMode::kIncremental;
   bool collectMoves = false;  ///< record every accepted move in `moves`
-  /// Skip re-solving players whose situation is provably unchanged since
-  /// their last non-improving check (sound). kReference detects this via
-  /// view fingerprints, kIncremental via cache validity.
+  /// Skip re-solving players whose view is provably unchanged since
+  /// their last non-improving solve (sound: DynamicsCache's settled
+  /// flags). Off, every player is solved at every turn.
   bool useBestResponseCache = true;
 };
 

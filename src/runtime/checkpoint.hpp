@@ -20,6 +20,7 @@
 #include "runtime/durable_log.hpp"
 #include "runtime/result_io.hpp"
 #include "runtime/scenario.hpp"
+#include "runtime/timing.hpp"
 
 namespace ncg::runtime {
 
@@ -82,5 +83,26 @@ class CheckpointWriter {
  private:
   DurableLogWriter log_;
 };
+
+/// The files a run appends to, opened by resumeRun().
+struct RunFiles {
+  CheckpointWriter manifest;  ///< no-op when checkpointing is off
+  TimingWriter timings;       ///< no-op when no sidecar is written
+};
+
+/// Resumes a run of `scenario` over `grid`, whose manifest header is
+/// `header`, and opens the files it appends to. When `checkpointPath`
+/// names a non-empty manifest, its header must be valid and match the
+/// scenario and fingerprint (ncg::Error otherwise), and the records of
+/// its salvaged prefix that fit the grid are replayed into `results`.
+/// The manifest writer then opens `checkpointPath` (when non-empty),
+/// and, when `recordTimings` is set, the timing sidecar opens at
+/// `timingsPath`, or next to the manifest when that is empty.
+RunFiles resumeRun(const Scenario& scenario,
+                   const std::vector<ScenarioPoint>& grid,
+                   const ResultHeader& header, ScenarioResults& results,
+                   const std::string& checkpointPath, bool recordTimings,
+                   const std::string& timingsPath,
+                   DurabilityPolicy durability);
 
 }  // namespace ncg::runtime

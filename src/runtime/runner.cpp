@@ -369,56 +369,11 @@ RunReport runScenario(const Scenario& scenario, const RunOptions& options) {
   const ResultHeader header{scenario.name, fingerprint, grid.size(),
                             report.results.totalTrials()};
 
-  CheckpointWriter writer;
-  if (!options.checkpointPath.empty()) {
-    const CheckpointLoad load = loadCheckpoint(options.checkpointPath);
-    if (load.exists) {
-      NCG_REQUIRE(load.headerValid,
-                  "checkpoint '" << options.checkpointPath
-                                 << "' has no valid header line");
-      NCG_REQUIRE(load.header.scenario == scenario.name &&
-                      load.header.fingerprint == fingerprint,
-                  "checkpoint '"
-                      << options.checkpointPath
-                      << "' was written for a different grid (scenario or "
-                         "env knobs changed); delete it to start over");
-      // Trust only the salvaged prefix: records past the first
-      // corruption are quarantined by the writer below and recomputed,
-      // so resume and disk agree line for line.
-      for (std::size_t i = 0; i < load.validPrefixRecords; ++i) {
-        const TrialRecord& record = load.records[i];
-        const bool inRange =
-            record.point >= 0 &&
-            static_cast<std::size_t>(record.point) < grid.size() &&
-            record.trial >= 0 &&
-            record.trial < grid[static_cast<std::size_t>(record.point)].trials;
-        if (inRange &&
-            record.metrics.size() == scenario.metricNames.size()) {
-          report.results.record(record);
-        }
-      }
-      report.unitsFromCheckpoint = report.results.completedTrials();
-    }
-    writer =
-        CheckpointWriter(options.checkpointPath, header, options.durability);
-  }
-
-  // The timing sidecar lives NEXT TO the manifest, never inside it: the
-  // manifest (and thus the byte-identity / kill-resume pins) is the
-  // same with timing on or off.
+  RunFiles files = resumeRun(scenario, grid, header, report.results,
+                             options.checkpointPath, options.recordTimings,
+                             options.timingsPath, options.durability);
+  report.unitsFromCheckpoint = report.results.completedTrials();
   Clock& clock = options.clock != nullptr ? *options.clock : steadyClock();
-  TimingWriter timingWriter;
-  if (options.recordTimings) {
-    const std::string sidecarPath =
-        !options.timingsPath.empty()
-            ? options.timingsPath
-            : (!options.checkpointPath.empty()
-                   ? timingSidecarPath(options.checkpointPath)
-                   : std::string());
-    if (!sidecarPath.empty()) {
-      timingWriter = TimingWriter(sidecarPath, header, options.durability);
-    }
-  }
 
   std::vector<Unit> units;
   units.reserve(report.results.totalTrials() - report.unitsFromCheckpoint);
@@ -433,7 +388,7 @@ RunReport runScenario(const Scenario& scenario, const RunOptions& options) {
     units.resize(options.maxUnits);
   }
 
-  UnitSink sink{report, writer, timingWriter};
+  UnitSink sink{report, files.manifest, files.timings};
   const int procs = options.procs > 0 ? options.procs : env::procs();
   if (procs <= 1) {
     for (const Unit& unit : units) {

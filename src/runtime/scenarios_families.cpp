@@ -13,9 +13,9 @@
 // Rng(deriveSeed(baseSeed, t)), all auxiliary seeds (churn decisions,
 // softmax draws) are drawn from that stream, and the metrics are plain
 // doubles — so each family is bitwise deterministic across NCG_PROCS
-// 1/2/8 and kill/resume (pinned by the runtime determinism suite) and
-// runs identically under EngineMode::kReference (pinned by the
-// differential suite).
+// 1/2/8 and kill/resume (pinned by the runtime determinism suite), and
+// each family's dynamics match a naive loop that rebuilds every view at
+// every turn (pinned by the differential suite).
 #include <algorithm>
 #include <vector>
 

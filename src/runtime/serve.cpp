@@ -313,56 +313,19 @@ ShardServer::ShardServer(const Scenario& scenario,
                          points_.size(), results_.totalTrials()};
 
   // The manifest is the durable queue state: replay it so a restarted
-  // server leases only what is still missing.
-  if (!options.checkpointPath.empty()) {
-    const CheckpointLoad load = loadCheckpoint(options.checkpointPath);
-    if (load.exists) {
-      NCG_REQUIRE(load.headerValid,
-                  "checkpoint '" << options.checkpointPath
-                                 << "' has no valid header line");
-      NCG_REQUIRE(load.header.scenario == scenario.name &&
-                      load.header.fingerprint == header_.fingerprint,
-                  "checkpoint '"
-                      << options.checkpointPath
-                      << "' was written for a different grid (scenario or "
-                         "env knobs changed); delete it to start over");
-      // Trust only the salvaged prefix: anything past the first corrupt
-      // line is quarantined by the writer below, and trusting it here
-      // would leave manifest and memory disagreeing about those units.
-      for (std::size_t i = 0; i < load.validPrefixRecords; ++i) {
-        const TrialRecord& record = load.records[i];
-        const bool inRange =
-            record.point >= 0 &&
-            static_cast<std::size_t>(record.point) < points_.size() &&
-            record.trial >= 0 &&
-            record.trial <
-                points_[static_cast<std::size_t>(record.point)].trials;
-        if (inRange &&
-            record.metrics.size() == scenario.metricNames.size()) {
-          results_.record(record);
-          leases_.markCompleted(unitIndex(record.point, record.trial));
-        }
-      }
-      stats_.unitsFromCheckpoint = results_.completedTrials();
-    }
-    writer_ =
-        CheckpointWriter(options.checkpointPath, header_, options.durability);
+  // server leases only what is still missing. Worker-reported timings
+  // land in the sidecar next to the manifest — never in the manifest
+  // itself, whose bytes the determinism pins own.
+  RunFiles files = resumeRun(scenario, points_, header_, results_,
+                             options.checkpointPath, recordTimings_,
+                             options.timingsPath, options.durability);
+  for (const TrialRecord& record : results_.records()) {
+    leases_.markCompleted(unitIndex(record.point, record.trial));
   }
-
-  // Worker-reported timings land in the sidecar next to the manifest —
-  // never in the manifest itself, whose bytes the determinism pins own.
+  stats_.unitsFromCheckpoint = results_.completedTrials();
+  writer_ = std::move(files.manifest);
+  timingWriter_ = std::move(files.timings);
   unitTimed_.assign(results_.totalTrials(), 0);
-  if (recordTimings_) {
-    const std::string sidecarPath =
-        !options.timingsPath.empty()
-            ? options.timingsPath
-            : (!options.checkpointPath.empty()
-                   ? timingSidecarPath(options.checkpointPath)
-                   : std::string());
-    if (!sidecarPath.empty()) {
-      timingWriter_ = TimingWriter(sidecarPath, header_, options.durability);
-    }
-  }
 
   // Bind the listener.
   const std::string requested =

@@ -1,7 +1,7 @@
 // Churn dynamics guards: the seed fully determines a churn run —
 // including which node slots departures free and arrivals reuse — and a
-// departure leaves its slot isolated, with no cached view or settled
-// flag for the next occupant.
+// departure leaves its slot isolated, with no settled flag for the next
+// occupant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,7 +97,7 @@ TEST(ChurnReplay, SimultaneousRoundsReplayIdentically) {
 }
 
 TEST(ChurnEviction, DepartureLeavesTheSlotIsolated) {
-  // Drive the cache directly: cache and settle u's view, depart u, and
+  // Drive the cache directly: build u's view and settle u, depart u, and
   // check that nothing of the old occupant is left in the slot.
   constexpr NodeId n = 140;
   Rng rng(0xE71C7ULL);

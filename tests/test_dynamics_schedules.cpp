@@ -106,45 +106,5 @@ TEST(Cache, CacheOnAndOffAgree) {
   }
 }
 
-TEST(Fingerprint, EqualViewsEqualFingerprints) {
-  const StrategyProfile start = randomTreeStart(20, 61);
-  const Graph g = start.buildGraph();
-  const PlayerView a = buildPlayerView(g, start, 5, 3);
-  const PlayerView b = buildPlayerView(g, start, 5, 3);
-  EXPECT_EQ(viewFingerprint(a), viewFingerprint(b));
-}
-
-TEST(Fingerprint, SensitiveToStrategyAndRadius) {
-  StrategyProfile profile(5);
-  profile.setStrategy(0, {1});
-  profile.setStrategy(1, {2});
-  profile.setStrategy(2, {3});
-  profile.setStrategy(3, {4});
-  const Graph g = profile.buildGraph();
-  const std::uint64_t base = viewFingerprint(buildPlayerView(g, profile, 2, 2));
-  // Different radius.
-  EXPECT_NE(base, viewFingerprint(buildPlayerView(g, profile, 2, 3)));
-  // Same graph, flipped ownership of an incident edge: the free-neighbor
-  // set of player 2 changes.
-  StrategyProfile flipped = profile;
-  flipped.setStrategy(1, {});
-  flipped.setStrategy(2, {1, 3});
-  EXPECT_EQ(flipped.buildGraph(), g);
-  EXPECT_NE(base, viewFingerprint(buildPlayerView(g, flipped, 2, 2)));
-}
-
-TEST(Fingerprint, InsensitiveToFarAwayChanges) {
-  // A change outside the k-ball leaves the fingerprint unchanged.
-  StrategyProfile profile(8);
-  for (NodeId i = 0; i + 1 < 8; ++i) profile.setStrategy(i, {i + 1});
-  const Graph g = profile.buildGraph();
-  const std::uint64_t base = viewFingerprint(buildPlayerView(g, profile, 0, 2));
-  StrategyProfile far = profile;
-  far.setStrategy(6, {});
-  far.setStrategy(7, {6});  // flip ownership of the far edge (6,7)
-  EXPECT_EQ(far.buildGraph(), g);
-  EXPECT_EQ(base, viewFingerprint(buildPlayerView(g, far, 0, 2)));
-}
-
 }  // namespace
 }  // namespace ncg

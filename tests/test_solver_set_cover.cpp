@@ -1,6 +1,8 @@
 // Tests for the exact set-cover solver (the Gurobi substitute).
 #include <gtest/gtest.h>
 
+#include "gen/classic.hpp"
+#include "graph/power.hpp"
 #include "solver/set_cover.hpp"
 #include "support/random.hpp"
 
@@ -83,6 +85,29 @@ TEST(SetCover, ChosenSetsActuallyCover) {
       covered |= sets[static_cast<std::size_t>(idx)];
     }
     EXPECT_TRUE(covered.all()) << "trial " << trial;
+  }
+}
+
+TEST(SetCover, PathBallCoverMatchesClosedForm) {
+  // Covering P_n with radius-r balls is distance-r domination of the
+  // path (the reduction MaxNCG's best response solves): the optimum is
+  // ⌈n / (2r+1)⌉.
+  for (const Dist r : {1, 2, 3}) {
+    for (const NodeId n : {5, 9, 12, 20}) {
+      const auto bits = static_cast<std::size_t>(n);
+      const std::vector<DynBitset> balls = ballMasks(makePath(n), r);
+      const auto result = minSetCover(fullUniverse(bits), balls);
+      ASSERT_TRUE(result.feasible);
+      EXPECT_TRUE(result.optimal);
+      EXPECT_EQ(result.chosen.size(),
+                static_cast<std::size_t>((n + 2 * r) / (2 * r + 1)))
+          << "n=" << n << " r=" << r;
+      DynBitset covered(bits);
+      for (int idx : result.chosen) {
+        covered |= balls[static_cast<std::size_t>(idx)];
+      }
+      EXPECT_TRUE(covered.all()) << "n=" << n << " r=" << r;
+    }
   }
 }
 
