@@ -74,7 +74,9 @@ enum class Schedule {
                        ///< activation picks the not-yet-woken player with
                        ///< the highest current cost C_u(σ) in G(σ)
                        ///< (playerCost; ties → lowest id),
-                       ///< re-evaluated after every accepted move.
+                       ///< re-evaluated after every accepted move (costs
+                       ///< change only with the profile, so recomputing
+                       ///< them before every pick gives the same order).
                        ///< Deterministic, so cycle detection stays sound.
 };
 
