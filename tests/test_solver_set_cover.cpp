@@ -88,28 +88,40 @@ TEST(SetCover, ChosenSetsActuallyCover) {
   }
 }
 
-TEST(SetCover, PathBallCoverMatchesClosedForm) {
-  // Covering P_n with radius-r balls is distance-r domination of the
-  // path (the reduction MaxNCG's best response solves): the optimum is
-  // ⌈n / (2r+1)⌉.
-  for (const Dist r : {1, 2, 3}) {
-    for (const NodeId n : {5, 9, 12, 20}) {
-      const auto bits = static_cast<std::size_t>(n);
-      const std::vector<DynBitset> balls = ballMasks(makePath(n), r);
-      const auto result = minSetCover(fullUniverse(bits), balls);
-      ASSERT_TRUE(result.feasible);
-      EXPECT_TRUE(result.optimal);
-      EXPECT_EQ(result.chosen.size(),
-                static_cast<std::size_t>((n + 2 * r) / (2 * r + 1)))
-          << "n=" << n << " r=" << r;
-      DynBitset covered(bits);
-      for (int idx : result.chosen) {
-        covered |= balls[static_cast<std::size_t>(idx)];
-      }
-      EXPECT_TRUE(covered.all()) << "n=" << n << " r=" << r;
-    }
+// Covering P_n with radius-r balls is distance-r domination of the path
+// (the reduction MaxNCG's best response solves): the optimum is
+// ⌈n / (2r+1)⌉. Returns the chosen balls after checking that they cover.
+std::vector<int> coverPathWithBalls(NodeId n, Dist r) {
+  const auto bits = static_cast<std::size_t>(n);
+  const std::vector<DynBitset> balls = ballMasks(makePath(n), r);
+  const auto result = minSetCover(fullUniverse(bits), balls);
+  EXPECT_TRUE(result.feasible) << "n=" << n << " r=" << r;
+  EXPECT_TRUE(result.optimal) << "n=" << n << " r=" << r;
+  DynBitset covered(bits);
+  for (int idx : result.chosen) {
+    covered |= balls[static_cast<std::size_t>(idx)];
+  }
+  EXPECT_TRUE(covered.all()) << "n=" << n << " r=" << r;
+  return result.chosen;
+}
+
+TEST(Domination, PathRadiusOneNeedsCeilNOver3) {
+  EXPECT_EQ(coverPathWithBalls(9, 1).size(), 3u);
+}
+
+class DominationRadius : public ::testing::TestWithParam<Dist> {};
+
+TEST_P(DominationRadius, PathCoverageInvariant) {
+  const Dist r = GetParam();
+  for (const NodeId n : {5, 9, 12, 20}) {
+    EXPECT_EQ(coverPathWithBalls(n, r).size(),
+              static_cast<std::size_t>((n + 2 * r) / (2 * r + 1)))
+        << "n=" << n << " r=" << r;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Radii, DominationRadius,
+                         ::testing::Values(1, 2, 3));
 
 TEST(SetCover, MatchesBruteForceOnRandomInstances) {
   Rng rng(17);
