@@ -3,7 +3,7 @@
 // micro_dynamics end-to-end cases), timed and emitted as machine-readable
 // JSON so the perf trajectory is tracked from PR to PR.
 //
-// Unlike the paper harnesses this binary ignores NCG_TRIALS/NCG_SCALE:
+// Unlike the registered scenarios this binary ignores NCG_TRIALS/NCG_SCALE:
 // every slice is pinned (seeds, grids, trial counts) so that two runs on
 // the same machine measure the same work. Output goes to
 // $NCG_BENCH_JSON, default "BENCH_perf_smoke.json" in the working
@@ -16,14 +16,14 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "support/build_info.hpp"
 #include "dynamics/round_robin.hpp"
 #include "gen/random_tree.hpp"
 #include "graph/metrics.hpp"
-#include "stats/accumulator.hpp"
+#include "runtime/trial.hpp"
+#include "support/build_info.hpp"
+#include "support/clock.hpp"
+#include "support/env.hpp"
 #include "support/random.hpp"
-#include "support/timer.hpp"
 
 using namespace ncg;
 
@@ -35,15 +35,20 @@ struct CaseResult {
   std::size_t work = 0;  ///< case-specific unit count (trials, moves, ...)
 };
 
+/// Seconds elapsed since `startUs`, a steadyClock().nowUs() reading.
+double secondsSince(std::int64_t startUs) {
+  return static_cast<double>(steadyClock().nowUs() - startUs) * 1e-6;
+}
+
 /// fig10 slice: the reduced k × α convergence grid on n=100 trees,
 /// 3 trials per point, seeds exactly as fig10_convergence derives them.
 CaseResult fig10Slice() {
-  WallTimer timer;
+  const std::int64_t startUs = steadyClock().nowUs();
   std::size_t dynamicsRuns = 0;
   for (const Dist k : {2, 5, 1000}) {
     for (const double alpha : {1.0, 5.0}) {
-      bench::TrialSpec spec;
-      spec.source = bench::Source::kRandomTree;
+      runtime::TrialSpec spec;
+      spec.source = runtime::Source::kRandomTree;
       spec.n = 100;
       spec.params = GameParams::max(alpha, k);
       const std::uint64_t base =
@@ -51,17 +56,17 @@ CaseResult fig10Slice() {
           static_cast<std::uint64_t>(alpha * 5407);
       for (int trial = 0; trial < 3; ++trial) {
         Rng rng(deriveSeed(base, static_cast<std::uint64_t>(trial)));
-        (void)bench::runTrial(spec, rng);
+        (void)runtime::runTrial(spec, rng);
         ++dynamicsRuns;
       }
     }
   }
-  return {"fig10_slice", timer.seconds(), dynamicsRuns};
+  return {"fig10_slice", secondsSince(startUs), dynamicsRuns};
 }
 
 /// table1 slice: tree statistics at the full n grid, 5 trials per n.
 CaseResult table1Slice() {
-  WallTimer timer;
+  const std::int64_t startUs = steadyClock().nowUs();
   std::size_t trees = 0;
   for (const NodeId n : {20, 30, 50, 70, 100, 200}) {
     for (int trial = 0; trial < 5; ++trial) {
@@ -76,7 +81,7 @@ CaseResult table1Slice() {
       ++trees;
     }
   }
-  return {"table1_slice", timer.seconds(), trees};
+  return {"table1_slice", secondsSince(startUs), trees};
 }
 
 /// One pinned dynamics run mirroring a micro_dynamics benchmark case.
@@ -90,9 +95,9 @@ CaseResult dynamicsCase(const char* name, std::uint64_t seed, NodeId n,
   config.params = params;
   config.moveRule = rule;
   config.maxRounds = maxRounds;
-  WallTimer timer;
+  const std::int64_t startUs = steadyClock().nowUs();
   const DynamicsResult result = runBestResponseDynamics(start, config);
-  return {name, timer.seconds(), result.totalMoves};
+  return {name, secondsSince(startUs), result.totalMoves};
 }
 
 /// Clean-wakeup slice: full-knowledge MaxNCG dynamics with the
@@ -102,7 +107,7 @@ CaseResult dynamicsCase(const char* name, std::uint64_t seed, NodeId n,
 /// instances, ballDone retirement), which every MaxNCG solve runs from
 /// radius 0.
 CaseResult noBrCacheSlice() {
-  WallTimer timer;
+  const std::int64_t startUs = steadyClock().nowUs();
   std::size_t moves = 0;
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     Rng rng(deriveSeed(0xD4ULL, trial));
@@ -115,7 +120,7 @@ CaseResult noBrCacheSlice() {
     const DynamicsResult result = runBestResponseDynamics(start, config);
     moves += result.totalMoves;
   }
-  return {"micro_nocache_max_100", timer.seconds(), moves};
+  return {"micro_nocache_max_100", secondsSince(startUs), moves};
 }
 
 }  // namespace
@@ -166,7 +171,7 @@ int main() {
                "  \"pinned_workload\": true,\n"
                "  \"cases\": [\n",
                buildGitCommit(), utcTimestamp().c_str(),
-               bench::fullScale() ? 1 : 0, bench::trialsFromEnv());
+               env::fullScale() ? 1 : 0, env::trials());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"seconds\": %.6f, "
@@ -175,7 +180,12 @@ int main() {
                  i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"total_seconds\": %.6f\n}\n", total);
-  std::fclose(out);
+  // A full disk may surface only when fclose() flushes the buffer.
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) {
+    std::fprintf(stderr, "perf_smoke: cannot write %s\n", jsonPath.c_str());
+    return 1;
+  }
   std::printf("wrote %s\n", jsonPath.c_str());
   return 0;
 }

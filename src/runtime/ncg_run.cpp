@@ -6,8 +6,9 @@
 //       environment the command runs in).
 //
 //   ncg_run run <scenario> [options]
-//       Run a scenario and print its rendering (for the ported legacy
-//       scenarios: byte-identical to the original bench harness).
+//       Run a scenario, print its rendering and exit with the
+//       scenario's verdict (Scenario::exitCode): a construction check
+//       such as lb_constructions exits non-zero when it fails to verify.
 //       Options:
 //         --procs=N        worker processes (default $NCG_PROCS, then the
 //                          core count); 1 runs the units sequentially
@@ -47,9 +48,9 @@
 // (support/fault.hpp) for the whole process — testing only.
 // Timing never changes the rendered output or the checkpoint manifest;
 // with --checkpoint it adds the <checkpoint>.timings.jsonl sidecar.
-// Exit codes: 0 success, 1 runtime failure, 2 usage error.
+// Exit codes: 0 success, 1 runtime failure, failed output write or a
+// scenario verdict of failure, 2 usage error.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
@@ -80,22 +81,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Strictly parses a flag value as an integer >= minValue; reports the
-/// offending flag on stderr and returns false otherwise. std::stoi's
-/// prefix parsing ("8x" → 8) and std::stoul's negative wrap-around
-/// ("-1" → SIZE_MAX) are exactly what this replaces.
-bool flagInt(const char* flag, const std::string& value, int minValue,
-             int& out) {
-  const auto parsed = parseInteger(value);
-  if (!parsed.has_value() || *parsed < minValue) {
-    std::fprintf(stderr, "%s expects an integer >= %d, got '%s'\n", flag,
-                 minValue, value.c_str());
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
 int listScenarios() {
   for (const Scenario& scenario : scenarioRegistry()) {
     const std::vector<ScenarioPoint> points = scenario.makePoints();
@@ -109,81 +94,33 @@ int listScenarios() {
   return 0;
 }
 
-/// Parses "--key=value" into `value`; true when `arg` starts with the
-/// key prefix.
-bool keyValue(const std::string& arg, const char* prefix,
-              std::string& value) {
-  const std::size_t len = std::strlen(prefix);
-  if (arg.compare(0, len, prefix) != 0) return false;
-  value = arg.substr(len);
-  return true;
-}
-
 int runCommand(const std::string& name, const RunOptions& options,
-               const std::string& format, const std::string& outPath,
-               bool timings, const std::string& timingsOut) {
+               const FinishOptions& finish) {
   const Scenario* scenario = findScenario(name);
   if (scenario == nullptr) {
     std::fprintf(stderr, "unknown scenario '%s' (try: ncg_run list)\n",
                  name.c_str());
     return 2;
   }
-  if (format != "legacy" && format != "jsonl" && format != "csv") {
-    std::fprintf(stderr, "unknown --format '%s'\n", format.c_str());
+  if (finish.format != "legacy" && finish.format != "jsonl" &&
+      finish.format != "csv") {
+    std::fprintf(stderr, "unknown --format '%s'\n", finish.format.c_str());
     return 2;
   }
   const RunReport report = runScenario(*scenario, options);
-
-  if (timings) {
-    const TimingSummary summary =
-        summarizeTimings(report.points, report.timings);
-    const std::string text =
-        renderTimingSummary(*scenario, report.points, summary);
-    std::fputs(text.c_str(), stderr);
-    const std::string jsonPath =
-        timingsOut.empty() ? "BENCH_ncg_run_" + name + ".json" : timingsOut;
-    std::FILE* out = std::fopen(jsonPath.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    const std::string json =
-        timingSummaryJson("ncg_run_" + name, report.points, summary);
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "wrote %s\n", jsonPath.c_str());
-  }
-
-  if (!outPath.empty()) {
-    std::FILE* out = std::fopen(outPath.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
-      return 1;
-    }
-    const std::string text =
-        renderResults(*scenario, report.points, report.results, "jsonl");
-    std::fputs(text.c_str(), out);
-    std::fclose(out);
-  }
-
-  if (!report.complete) {
-    std::fprintf(stderr,
-                 "incomplete: %zu/%zu trials done (%zu from checkpoint, %zu "
-                 "this run); %s\n",
-                 report.results.completedTrials(),
-                 report.results.totalTrials(), report.unitsFromCheckpoint,
-                 report.unitsRun,
-                 options.checkpointPath.empty()
-                     ? "no --checkpoint was given, so these results are "
-                       "discarded — pass --checkpoint=PATH to make "
-                       "--max-units resumable"
-                     : "rerun with the same --checkpoint to resume");
-    return 0;
-  }
-
-  const std::string text =
-      renderResults(*scenario, report.points, report.results, format);
-  std::fputs(text.c_str(), stdout);
+  const int code = finishRun("ncg_run", *scenario, report.points,
+                             report.results, report.timings, finish);
+  if (code != 0 || report.complete) return code;
+  std::fprintf(stderr,
+               "incomplete: %zu/%zu trials done (%zu from checkpoint, %zu "
+               "this run); %s\n",
+               report.results.completedTrials(), report.results.totalTrials(),
+               report.unitsFromCheckpoint, report.unitsRun,
+               options.checkpointPath.empty()
+                   ? "no --checkpoint was given, so these results are "
+                     "discarded — pass --checkpoint=PATH to make "
+                     "--max-units resumable"
+                   : "rerun with the same --checkpoint to resume");
   return 0;
 }
 
@@ -226,12 +163,9 @@ int main(int argc, char** argv) {
       if (argc < 3) return usage(argv[0]);
       const std::string name = argv[2];
       RunOptions options;
+      FinishOptions finish;
       WorkerOptions workerOptions;
-      std::string format = "legacy";
-      std::string outPath;
       std::string connectAddress;
-      bool timings = false;
-      std::string timingsOut;
       bool localOptions = false;
       bool workerFlags = false;
       for (int i = 3; i < argc; ++i) {
@@ -246,10 +180,10 @@ int main(int argc, char** argv) {
           options.checkpointPath = value;
           localOptions = true;
         } else if (keyValue(arg, "--format=", value)) {
-          format = value;
+          finish.format = value;
           localOptions = true;
         } else if (keyValue(arg, "--out=", value)) {
-          outPath = value;
+          finish.outPath = value;
           localOptions = true;
         } else if (keyValue(arg, "--max-units=", value)) {
           if (!flagInt("--max-units", value, 0, parsed)) {
@@ -269,11 +203,11 @@ int main(int argc, char** argv) {
           options.durability = *policy;
           localOptions = true;
         } else if (arg == "--timings") {
-          timings = true;
+          finish.timings = true;
           localOptions = true;
         } else if (keyValue(arg, "--timings-out=", value)) {
-          timings = true;
-          timingsOut = value;
+          finish.timings = true;
+          finish.timingsPath = value;
           localOptions = true;
         } else if (keyValue(arg, "--connect=", value)) {
           connectAddress = value;
@@ -323,7 +257,7 @@ int main(int argc, char** argv) {
                      "--backoff-seed only apply with --connect\n");
         return usage(argv[0]);
       }
-      return runCommand(name, options, format, outPath, timings, timingsOut);
+      return runCommand(name, options, finish);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ncg_run: %s\n", e.what());

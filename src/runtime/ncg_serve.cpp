@@ -39,10 +39,11 @@
 //
 // The bound address is printed to stderr as "listening on ADDR" before
 // the first lease, so scripts using an ephemeral port can scrape it.
-// Exit codes: 0 success, 1 runtime failure, 2 usage error.
+// Exit codes: 0 success, 1 runtime failure, failed output write or a
+// scenario verdict of failure (Scenario::exitCode, as for ncg_run run),
+// 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 
@@ -89,29 +90,6 @@ void installSignalHandlers() {
   (void)sigaction(SIGINT, &action, nullptr);
 }
 
-/// Strictly parses a flag value as an integer >= minValue; reports the
-/// offending flag on stderr and returns false otherwise (std::stoi
-/// accepted "8x" and negative TTLs here before).
-bool flagInt(const char* flag, const std::string& value, int minValue,
-             int& out) {
-  const auto parsed = parseInteger(value);
-  if (!parsed.has_value() || *parsed < minValue) {
-    std::fprintf(stderr, "%s expects an integer >= %d, got '%s'\n", flag,
-                 minValue, value.c_str());
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
-bool keyValue(const std::string& arg, const char* prefix,
-              std::string& value) {
-  const std::size_t len = std::strlen(prefix);
-  if (arg.compare(0, len, prefix) != 0) return false;
-  value = arg.substr(len);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,9 +99,7 @@ int main(int argc, char** argv) {
   fault::installPlanFromEnv();
   const std::string name = argv[1];
   ServeOptions options;
-  std::string format = "legacy";
-  bool timings = false;
-  std::string timingsOut;
+  FinishOptions finish;
   try {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -163,19 +139,20 @@ int main(int argc, char** argv) {
         }
         options.maxConnections = parsed;
       } else if (keyValue(arg, "--format=", value)) {
-        format = value;
+        finish.format = value;
       } else if (arg == "--timings") {
-        timings = true;
+        finish.timings = true;
       } else if (keyValue(arg, "--timings-out=", value)) {
-        timings = true;
-        timingsOut = value;
+        finish.timings = true;
+        finish.timingsPath = value;
       } else {
         std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
         return usage(argv[0]);
       }
     }
-    if (format != "legacy" && format != "jsonl" && format != "csv") {
-      std::fprintf(stderr, "unknown --format '%s'\n", format.c_str());
+    if (finish.format != "legacy" && finish.format != "jsonl" &&
+        finish.format != "csv") {
+      std::fprintf(stderr, "unknown --format '%s'\n", finish.format.c_str());
       return usage(argv[0]);
     }
     const Scenario* scenario = findScenario(name);
@@ -228,31 +205,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (timings) {
-      const TimingSummary summary =
-          summarizeTimings(server.points(), server.timings());
-      const std::string text =
-          renderTimingSummary(*scenario, server.points(), summary);
-      std::fputs(text.c_str(), stderr);
-      const std::string jsonPath = timingsOut.empty()
-                                       ? "BENCH_ncg_serve_" + name + ".json"
-                                       : timingsOut;
-      std::FILE* out = std::fopen(jsonPath.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-        return 1;
-      }
-      const std::string json = timingSummaryJson("ncg_serve_" + name,
-                                                 server.points(), summary);
-      std::fputs(json.c_str(), out);
-      std::fclose(out);
-      std::fprintf(stderr, "wrote %s\n", jsonPath.c_str());
-    }
-
-    const std::string text = renderResults(*scenario, server.points(),
-                                           server.results(), format);
-    std::fputs(text.c_str(), stdout);
-    return 0;
+    return finishRun("ncg_serve", *scenario, server.points(),
+                     server.results(), server.timings(), finish);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ncg_serve: %s\n", e.what());
     return 1;

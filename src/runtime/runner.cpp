@@ -284,6 +284,21 @@ void runForked(const Scenario& scenario,
   NCG_REQUIRE(!failed, "a scenario worker process failed");
 }
 
+/// Prints the one failure line every finishRun write shares.
+int cannotWrite(const std::string& what) {
+  std::fprintf(stderr, "cannot write %s\n", what.c_str());
+  return 1;
+}
+
+/// Writes `text` to `path`, truncating it. A full disk may surface only
+/// when fclose() flushes the buffer, so its result counts too.
+bool writeTextFile(const std::string& path, const std::string& text) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  const bool written = std::fputs(text.c_str(), out) >= 0;
+  return std::fclose(out) == 0 && written;
+}
+
 }  // namespace
 
 TrialRecord computeScenarioUnit(const Scenario& scenario,
@@ -408,19 +423,38 @@ RunReport runScenario(const Scenario& scenario, const RunOptions& options) {
   return report;
 }
 
-int runLegacyHarness(const std::string& name) {
-  const Scenario* scenario = findScenario(name);
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-    return 2;
+int finishRun(const char* cli, const Scenario& scenario,
+              const std::vector<ScenarioPoint>& points,
+              const ScenarioResults& results,
+              const std::vector<UnitTiming>& timings,
+              const FinishOptions& options) {
+  if (options.timings) {
+    const TimingSummary summary = summarizeTimings(points, timings);
+    std::fputs(renderTimingSummary(scenario, points, summary).c_str(),
+               stderr);
+    const std::string bench = std::string(cli) + "_" + scenario.name;
+    const std::string path = options.timingsPath.empty()
+                                 ? "BENCH_" + bench + ".json"
+                                 : options.timingsPath;
+    if (!writeTextFile(path, timingSummaryJson(bench, points, summary))) {
+      return cannotWrite(path);
+    }
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
-  const RunReport report = runScenario(*scenario);
+  if (!options.outPath.empty() &&
+      !writeTextFile(options.outPath,
+                     renderResults(scenario, points, results, "jsonl"))) {
+    return cannotWrite(options.outPath);
+  }
+  if (!results.complete()) return 0;
   const std::string text =
-      renderResults(*scenario, report.points, report.results, "legacy");
+      renderResults(scenario, points, results, options.format);
   std::fputs(text.c_str(), stdout);
-  return scenario->exitCode
-             ? scenario->exitCode(*scenario, report.points, report.results)
-             : 0;
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    return cannotWrite("stdout");
+  }
+  return scenario.exitCode ? scenario.exitCode(scenario, points, results)
+                           : 0;
 }
 
 }  // namespace ncg::runtime

@@ -12,7 +12,9 @@
 // stream deriveSeed(point.baseSeed, trial) and metrics travel as
 // IEEE-754 bit patterns, the final ScenarioResults is bitwise identical
 // for any NCG_PROCS value and for any kill/resume split — pinned by
-// tests/test_runtime_runner_determinism.cpp.
+// tests/test_runtime_runner_determinism.cpp. finishRun() is the step
+// ncg_run and ncg_serve both end with: timing report, rendering and the
+// scenario's exit verdict.
 #pragma once
 
 #include <cstddef>
@@ -86,9 +88,30 @@ std::string renderResults(const Scenario& scenario,
 RunReport runScenario(const Scenario& scenario,
                       const RunOptions& options = {});
 
-/// The entire main() of a ported legacy harness: look up `name`, run it
-/// honouring NCG_PROCS, print the scenario's rendering to stdout.
-/// Returns the process exit code.
-int runLegacyHarness(const std::string& name);
+/// How a CLI reports a finished run (see finishRun).
+struct FinishOptions {
+  /// stdout format: "legacy", "jsonl" or "csv" (see renderResults).
+  std::string format = "legacy";
+  /// Print the per-point timing digest to stderr and write its JSON.
+  bool timings = false;
+  /// Timing JSON path; "" = BENCH_<cli>_<scenario>.json.
+  std::string timingsPath;
+  /// Also write the JSONL results here; "" = no such file.
+  std::string outPath;
+};
+
+/// The last step of `ncg_run run` and `ncg_serve`, shared so both judge
+/// a run alike. With options.timings it prints the timing digest to
+/// stderr and writes its JSON (bench name "<cli>_<scenario>"); then it
+/// writes options.outPath. Complete results are rendered to stdout in
+/// options.format; incomplete ones print nothing. Returns the process
+/// exit code: 1 after a "cannot write …" line when any of these writes
+/// fails, otherwise the scenario's exitCode verdict on complete results
+/// (0 without a hook, and for incomplete results).
+int finishRun(const char* cli, const Scenario& scenario,
+              const std::vector<ScenarioPoint>& points,
+              const ScenarioResults& results,
+              const std::vector<UnitTiming>& timings,
+              const FinishOptions& options);
 
 }  // namespace ncg::runtime

@@ -116,10 +116,11 @@ struct Scenario {
                             const ScenarioResults&)>
       render;
 
-  /// Optional process exit code for the legacy-harness wrapper
-  /// (runLegacyHarness): the ported verification harnesses
-  /// (fig1_2_construction, lb_constructions) exited non-zero when a
-  /// paper invariant failed to verify. Null = always 0.
+  /// Optional verdict on complete results, returned as the process exit
+  /// code by both CLIs (`ncg_run run` and `ncg_serve`, via finishRun):
+  /// the construction checks (fig1_2_construction, lb_constructions)
+  /// return non-zero when a paper invariant fails to verify.
+  /// Null = always 0.
   std::function<int(const Scenario&, const std::vector<ScenarioPoint>&,
                     const ScenarioResults&)>
       exitCode;
@@ -148,8 +149,8 @@ std::uint64_t scenarioFingerprint(const Scenario& scenario,
 /// CSV) must use, since points may carry different label sets.
 std::vector<std::string> paramLabels(const std::vector<ScenarioPoint>& points);
 
-/// The standard harness header ("=== title ===\n...", trailing blank
-/// line included) — the bytes bench::printHeader has always printed.
+/// The standard rendering header ("=== title ===\n...", trailing blank
+/// line included) — the bytes the hand-written harnesses printed.
 std::string headerText(const std::string& title,
                        const std::string& paperRef);
 

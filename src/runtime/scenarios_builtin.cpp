@@ -2,12 +2,12 @@
 // grid.
 //
 // The ported scenarios (Tables I/II, Figures 5–10) replicate their
-// bench/ harnesses exactly — same
-// seed formulas, same trial bodies in the same RNG draw order, same
-// aggregation order, same printf formats — so their rendering is
-// byte-identical to what the hand-rolled mains printed before the
-// port (pinned by tests/test_runtime_scenario.cpp, which keeps a copy
-// of the legacy loops as the reference).
+// former bench/ harnesses exactly — same seed formulas, same trial
+// bodies in the same RNG draw order, same aggregation order, same
+// printf formats — so their rendering is byte-identical to what the
+// hand-rolled mains printed before the port (pinned by
+// tests/test_runtime_scenario.cpp, which keeps a copy of the legacy
+// loops as the reference).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -2,15 +2,15 @@
 // §3.1 construction check (Figs. 1-2), the lower-bound verification
 // harness and the extension experiments, each as a registered scenario.
 //
-// Like scenarios_builtin.cpp, every port replicates its bench/ harness
-// exactly — same seed formulas, same trial bodies in the same RNG draw
-// order, same aggregation order, same printf formats — so the rendered
-// text is byte-identical to what the hand-rolled mains printed (pinned
-// by tests/test_runtime_scenario.cpp against verbatim copies of the
-// legacy loops). The verification harnesses (fig1_2_construction,
-// lb_constructions) additionally install an exitCode hook so
-// `ncg_run legacy <name>` exits non-zero exactly when the original
-// main did.
+// Like scenarios_builtin.cpp, every port replicates its former bench/
+// harness exactly — same seed formulas, same trial bodies in the same
+// RNG draw order, same aggregation order, same printf formats — so the
+// rendered text is byte-identical to what the hand-rolled mains
+// printed (pinned by tests/test_runtime_scenario.cpp against verbatim
+// copies of the legacy loops). The verification harnesses
+// (fig1_2_construction, lb_constructions) additionally install an
+// exitCode hook, so `ncg_run run <name>` and `ncg_serve <name>` exit
+// non-zero exactly when the original main did.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

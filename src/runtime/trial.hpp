@@ -1,11 +1,8 @@
-// The unit of experimental work shared by the bench harnesses and the
-// runtime scenario layer: sample an initial network, toss ownership,
-// run round-robin best-response dynamics, summarize the final state.
-//
-// This used to live in bench/bench_common.{hpp,cpp}; it moved into the
-// library so that registered scenarios (runtime/scenario.hpp) can run
-// the exact same trial bodies the hand-rolled harnesses ran —
-// bench_common re-exports these names for the existing harnesses.
+// The unit of experimental work of the §5 scenarios: sample an initial
+// network, toss ownership, run round-robin best-response dynamics,
+// summarize the final state. Registered scenarios (runtime/scenario.hpp)
+// and bench/perf_smoke run these exact trial bodies, with the seeds the
+// original hand-written harnesses used.
 #pragma once
 
 #include <vector>

@@ -1,7 +1,7 @@
 // The environment knobs every experiment entry point honours.
 //
-// The scenario registry, the runner, the lease server and the bench
-// harnesses all read the same knobs, so the parsing lives here once.
+// The scenario registry, the runner, the lease server and perf_smoke
+// all read the same knobs, so the parsing lives here once.
 // All knobs are read at call time (no caching), so tests may
 // setenv/unsetenv between calls.
 #pragma once

@@ -3,6 +3,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace ncg {
 
@@ -86,6 +87,26 @@ std::optional<long long> parseInteger64(std::string_view text) {
     value = -value;
   }
   return value;
+}
+
+bool keyValue(const std::string& arg, const char* prefix,
+              std::string& value) {
+  const std::size_t len = std::strlen(prefix);
+  if (arg.compare(0, len, prefix) != 0) return false;
+  value = arg.substr(len);
+  return true;
+}
+
+bool flagInt(const char* flag, const std::string& value, int minValue,
+             int& out) {
+  const auto parsed = parseInteger(value);
+  if (!parsed.has_value() || *parsed < minValue) {
+    std::fprintf(stderr, "%s expects an integer >= %d, got '%s'\n", flag,
+                 minValue, value.c_str());
+    return false;
+  }
+  out = *parsed;
+  return true;
 }
 
 int envInt(const char* name, int fallback) {

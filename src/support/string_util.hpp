@@ -1,4 +1,5 @@
-// Small string/formatting helpers used by the table writers and benches.
+// Small string/formatting helpers used by the table writers, the env
+// knobs and the CLI flag parsers.
 #pragma once
 
 #include <optional>
@@ -35,6 +36,17 @@ std::optional<int> parseInteger(std::string_view text);
 /// knobs (NCG_ARENA_BUDGET) and the edge-list loader's overflow checks,
 /// where int's range is too small.
 std::optional<long long> parseInteger64(std::string_view text);
+
+/// Parses "--key=value" into `value`; true when `arg` starts with the
+/// key prefix. The option matcher of the ncg_run / ncg_serve CLIs.
+bool keyValue(const std::string& arg, const char* prefix, std::string& value);
+
+/// Strictly parses a CLI flag value as an integer >= minValue; reports
+/// the offending flag on stderr and returns false otherwise. std::stoi's
+/// prefix parsing ("8x" → 8) and std::stoul's negative wrap-around
+/// ("-1" → SIZE_MAX) are exactly what this replaces.
+bool flagInt(const char* flag, const std::string& value, int minValue,
+             int& out);
 
 /// Parses a positive integer from an environment variable, with fallback.
 /// Used by benches for NCG_TRIALS / NCG_SCALE style knobs. Malformed

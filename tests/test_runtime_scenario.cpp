@@ -1408,5 +1408,45 @@ TEST(GenericRenderer, ProducesHeaderlessTableWithParamsAndMetrics) {
             report.points.size() + 3);
 }
 
+TEST(FinishRun, ReturnsTheScenarioVerdictInEveryFormat) {
+  Scenario scenario;
+  scenario.name = "finish_run_fixture";
+  scenario.metricNames = {"trial"};
+  scenario.makePoints = [] {
+    ScenarioPoint point;
+    point.params = {{"x", 1.0}};
+    point.trials = 2;
+    return std::vector<ScenarioPoint>{point};
+  };
+  scenario.runTrialFn = [](const ScenarioPoint&, int trial, Rng&) {
+    return std::vector<double>{static_cast<double>(trial)};
+  };
+  RunOptions run;
+  run.procs = 1;
+  const RunReport report = runScenario(scenario, run);
+  ASSERT_TRUE(report.complete);
+
+  // Prints the rendering, as the CLIs do, and returns the exit code.
+  const auto finish = [&](const char* format) {
+    FinishOptions options;
+    options.format = format;
+    testing::internal::CaptureStdout();
+    const int code = finishRun("ncg_run", scenario, report.points,
+                               report.results, report.timings, options);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              renderResults(scenario, report.points, report.results, format))
+        << format;
+    return code;
+  };
+  for (const char* format : {"legacy", "csv"}) {
+    EXPECT_EQ(finish(format), 0) << format;
+  }
+  scenario.exitCode = [](const Scenario&, const std::vector<ScenarioPoint>&,
+                         const ScenarioResults&) { return 3; };
+  for (const char* format : {"legacy", "csv"}) {
+    EXPECT_EQ(finish(format), 3) << format;
+  }
+}
+
 }  // namespace
 }  // namespace ncg::runtime

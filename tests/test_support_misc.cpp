@@ -1,11 +1,10 @@
-// Tests for error handling, timing and string helpers.
+// Tests for error handling and string helpers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "support/error.hpp"
 #include "support/string_util.hpp"
-#include "support/timer.hpp"
 
 namespace ncg {
 namespace {
@@ -23,16 +22,6 @@ TEST(Require, FailureThrowsWithContext) {
     EXPECT_NE(what.find("value was 42"), std::string::npos);
     EXPECT_NE(what.find("test_support_misc"), std::string::npos);
   }
-}
-
-TEST(Timer, MeasuresForwardTime) {
-  WallTimer timer;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  EXPECT_GE(timer.seconds(), 0.0);
-  EXPECT_GE(timer.millis(), 0.0);
-  timer.reset();
-  EXPECT_LT(timer.seconds(), 1.0);
 }
 
 TEST(StringUtil, Join) {
