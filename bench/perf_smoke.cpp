@@ -187,5 +187,9 @@ int main() {
     return 1;
   }
   std::printf("wrote %s\n", jsonPath.c_str());
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "cannot write stdout\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,87 +1,11 @@
 #include "runtime/checkpoint.hpp"
 
-#include <cstdio>
-#include <utility>
-
 #include "support/error.hpp"
 
 namespace ncg::runtime {
 
 CheckpointLoad loadCheckpoint(const std::string& path) {
-  CheckpointLoad load;
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return load;
-
-  std::string line;
-  bool first = true;
-  bool prefixIntact = true;
-  char buffer[4096];
-  const auto consume = [&] {
-    const std::size_t lineBytes = line.size() + 1;  // incl. newline
-    const bool isHeaderSlot = first;
-    first = false;
-    const auto checked = verifyLineChecksum(line);
-    bool valid = false;
-    bool isRecord = false;
-    if (!checked.has_value()) {
-      ++load.malformedLines;  // CRC suffix present but wrong
-    } else if (isHeaderSlot) {
-      if (auto header = decodeHeaderLine(checked->payload)) {
-        load.headerValid = true;
-        load.header = std::move(*header);
-        valid = true;
-      } else {
-        ++load.malformedLines;
-      }
-    } else if (auto record = decodeTrialLine(checked->payload)) {
-      load.records.push_back(std::move(*record));
-      valid = true;
-      isRecord = true;
-    } else {
-      ++load.malformedLines;
-    }
-    if (prefixIntact && valid) {
-      load.validPrefixBytes += lineBytes;
-      if (isRecord) ++load.validPrefixRecords;
-    } else {
-      prefixIntact = false;
-    }
-    line.clear();
-  };
-
-  bool sawAny = false;
-  while (std::fgets(buffer, sizeof buffer, file) != nullptr) {
-    sawAny = true;
-    line += buffer;
-    if (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-      consume();
-    }
-  }
-  if (!line.empty()) {
-    // Unterminated final line: a kill landed mid-write. Skip it.
-    ++load.malformedLines;
-    prefixIntact = false;
-  }
-  std::fclose(file);
-  load.exists = sawAny;
-  load.corruptTail = load.exists && !prefixIntact;
-  return load;
-}
-
-CheckpointWriter::CheckpointWriter(const std::string& path,
-                                   const ResultHeader& header,
-                                   DurabilityPolicy durability)
-    : log_(path, encodeHeaderLine(header),
-           [](std::string_view payload, std::size_t index) {
-             return index == 0 ? decodeHeaderLine(payload).has_value()
-                               : decodeTrialLine(payload).has_value();
-           },
-           durability) {}
-
-void CheckpointWriter::append(const TrialRecord& record) {
-  if (!log_.enabled()) return;
-  (void)log_.appendLine(encodeTrialLine(record));
+  return loadLog<TrialRecord>(path);
 }
 
 RunFiles resumeRun(const Scenario& scenario,

@@ -24,65 +24,14 @@
 
 namespace ncg::runtime {
 
-/// What loading a manifest file found. `records` is the lenient view
-/// (every decodable line anywhere in the file, for diagnostics);
-/// resume must trust only the first `validPrefixRecords` of them — the
-/// records before the first corruption, which is exactly what the
-/// writers salvage.
-struct CheckpointLoad {
-  bool exists = false;      ///< file present and non-empty
-  bool headerValid = false; ///< first line decoded as a header
-  ResultHeader header;
-  std::vector<TrialRecord> records;  ///< every decodable trial line
-  std::size_t malformedLines = 0;    ///< undecodable/CRC-failing lines
-  /// Crash-consistency view: the byte length of the trusted prefix
-  /// (header + contiguous valid lines from the top), how many records
-  /// it holds, and whether anything — torn tail, garbled line — lies
-  /// beyond it.
-  std::size_t validPrefixBytes = 0;
-  std::size_t validPrefixRecords = 0;
-  bool corruptTail = false;
-};
+/// What loading a manifest found (runtime/durable_log.hpp).
+using CheckpointLoad = LogLoad<TrialRecord>;
 
 /// Reads a manifest; never throws on content (missing file → !exists).
 CheckpointLoad loadCheckpoint(const std::string& path);
 
-/// Append-side of the manifest, on the crash-safe DurableLogWriter:
-/// CRC-tagged lines, failed appends truncated away, corrupt tails
-/// quarantined on open, durability per DurabilityPolicy.
-class CheckpointWriter {
- public:
-  /// No-op writer (checkpointing disabled).
-  CheckpointWriter() = default;
-
-  /// Opens `path`, quarantines any corrupt tail, and writes `header` if
-  /// the salvaged prefix is empty. Throws ncg::Error when the file (or
-  /// its quarantine sibling) cannot be opened.
-  CheckpointWriter(const std::string& path, const ResultHeader& header,
-                   DurabilityPolicy durability = {});
-
-  CheckpointWriter(CheckpointWriter&&) noexcept = default;
-  CheckpointWriter& operator=(CheckpointWriter&&) noexcept = default;
-  CheckpointWriter(const CheckpointWriter&) = delete;
-  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
-
-  bool enabled() const { return log_.enabled(); }
-
-  /// Appends one trial line. A failed write (ENOSPC, injected fault) is
-  /// truncated away and counted in failedAppends(); the run keeps the
-  /// record in memory and a later resume recomputes it.
-  void append(const TrialRecord& record);
-
-  /// Final flush (fdatasync under the fsync policy) — the drain path.
-  void sync() { log_.sync(); }
-
-  /// What the open-time salvage scan found/quarantined.
-  const LogOpenReport& openReport() const { return log_.openReport(); }
-  std::size_t failedAppends() const { return log_.failedAppends(); }
-
- private:
-  DurableLogWriter log_;
-};
+/// Append side of the manifest.
+using CheckpointWriter = LogWriter<TrialRecord>;
 
 /// The files a run appends to, opened by resumeRun().
 struct RunFiles {

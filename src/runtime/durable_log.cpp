@@ -92,6 +92,38 @@ std::string quarantinePath(const std::string& path) {
   return path + ".quarantine";
 }
 
+LogScan scanLog(const std::string& path, const LineValidator& validLine) {
+  LogScan scan;
+  if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
+    char buffer[65536];
+    std::size_t n;
+    while ((n = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+      scan.contents.append(buffer, n);
+    }
+    std::fclose(file);
+  }
+  const std::string_view contents = scan.contents;
+  bool intact = true;
+  std::size_t pos = 0;
+  for (std::size_t index = 0; pos < contents.size(); ++index) {
+    const std::size_t nl = contents.find('\n', pos);
+    if (nl == std::string_view::npos) {
+      ++scan.malformedLines;  // torn tail: a kill landed mid-write
+      break;
+    }
+    const auto checked = verifyLineChecksum(contents.substr(pos, nl - pos));
+    if (!checked.has_value() || !validLine(checked->payload, index)) {
+      ++scan.malformedLines;
+      intact = false;  // the first corrupt/alien line ends the prefix
+    } else if (intact) {
+      scan.validPrefixBytes = nl + 1;
+      ++scan.validPrefixLines;
+    }
+    pos = nl + 1;
+  }
+  return scan;
+}
+
 DurableLogWriter::DurableLogWriter(const std::string& path,
                                    std::string_view headerPayload,
                                    LineValidator validLine,
@@ -99,31 +131,12 @@ DurableLogWriter::DurableLogWriter(const std::string& path,
     : path_(path), policy_(policy) {
   // ---- Salvage scan: find the longest valid prefix of the existing
   // file (complete lines whose checksum and payload both check out).
-  std::string contents;
-  if (std::FILE* existing = std::fopen(path.c_str(), "rb")) {
-    char buffer[65536];
-    std::size_t n;
-    while ((n = std::fread(buffer, 1, sizeof buffer, existing)) > 0) {
-      contents.append(buffer, n);
-    }
-    std::fclose(existing);
-  }
+  const LogScan scan = scanLog(path, validLine);
+  const std::string& contents = scan.contents;
+  const std::size_t pos = scan.validPrefixBytes;
   openReport_.existed = !contents.empty();
-  std::size_t pos = 0;
-  std::size_t lineIndex = 0;
-  while (pos < contents.size()) {
-    const std::size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: no newline
-    const std::string_view line(contents.data() + pos, nl - pos);
-    const auto checked = verifyLineChecksum(line);
-    if (!checked.has_value() || !validLine(checked->payload, lineIndex)) {
-      break;  // first corrupt/alien line ends the trusted prefix
-    }
-    pos = nl + 1;
-    ++lineIndex;
-  }
   openReport_.validPrefixBytes = pos;
-  openReport_.validPrefixLines = lineIndex;
+  openReport_.validPrefixLines = scan.validPrefixLines;
 
   // ---- Quarantine: move the corrupt tail aside, byte for byte, then
   // truncate the log to the trusted prefix.

@@ -1,6 +1,8 @@
 // Crash-safe append-only JSONL log — the durability layer under the
 // checkpoint manifest (runtime/checkpoint.hpp) and the timing sidecar
-// (runtime/timing.hpp).
+// (runtime/timing.hpp), and the typed log both are made of: a header
+// line plus one line per record, written by LogWriter<Record> and read
+// back by loadLog<Record>.
 //
 // Contract (the ARIES-lite version of a write-ahead log):
 //
@@ -14,13 +16,13 @@
 //     the last known-good offset, so the log on disk is always a clean
 //     prefix of complete lines; the caller keeps the record in memory
 //     and a later resume recomputes whatever never became durable.
-//   - On (re)open the writer scans the existing file for its longest
-//     valid prefix (header + lines that pass CRC and the caller's
-//     decoder). Anything after the prefix — a torn tail from a kill, a
-//     garbled line from bit rot — is moved verbatim to
-//     `<path>.quarantine` and the file is truncated to the prefix, so
-//     the resumed run appends to a log every future reader trusts end
-//     to end.
+//   - On (re)open the writer runs scanLog, the one scan every reader
+//     of a log uses, to find the file's longest valid prefix (header +
+//     lines that pass CRC and the caller's decoder). Anything after the
+//     prefix — a torn tail from a kill, a garbled line from bit rot —
+//     is moved verbatim to `<path>.quarantine` and the file is
+//     truncated to the prefix, so the resumed run appends to a log
+//     every future reader trusts end to end.
 //   - DurabilityPolicy picks how hard appends push bytes at the disk:
 //     `flush` (write-through of the fd, the historical behaviour) or
 //     `fsync[:N]` (fdatasync every N appends and on close — survives
@@ -32,6 +34,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
+
+#include "runtime/result_io.hpp"
 
 namespace ncg::runtime {
 
@@ -65,6 +71,27 @@ struct ChecksummedLine {
 };
 std::optional<ChecksummedLine> verifyLineChecksum(std::string_view line);
 
+/// Decides one line during a scan: `payload` is the line without its
+/// CRC suffix, `index` its position in the file (0 is the header).
+using LineValidator =
+    std::function<bool(std::string_view payload, std::size_t index)>;
+
+/// One pass over a log file.
+struct LogScan {
+  std::string contents;  ///< the file's bytes; empty when it is missing
+  /// Length and line count (header included) of the longest prefix of
+  /// complete lines that all pass their CRC and `validLine`.
+  std::size_t validPrefixBytes = 0;
+  std::size_t validPrefixLines = 0;
+  /// Complete lines failing either check, plus an unterminated tail.
+  std::size_t malformedLines = 0;
+};
+
+/// Reads `path` and scans it line by line. Every complete line whose
+/// CRC checks out reaches `validLine`, past the first failure too, so a
+/// reader can collect the decodable lines anywhere in the file.
+LogScan scanLog(const std::string& path, const LineValidator& validLine);
+
 /// What the open-time scan found (surfaced by the writers for stats,
 /// logs and the quarantine tests).
 struct LogOpenReport {
@@ -78,9 +105,6 @@ struct LogOpenReport {
 /// by `validLine(payload, index)` — index 0 is the header line.
 class DurableLogWriter {
  public:
-  using LineValidator =
-      std::function<bool(std::string_view payload, std::size_t index)>;
-
   DurableLogWriter() = default;  ///< disabled writer; appends are no-ops
 
   /// Opens `path`, quarantines any corrupt tail, writes `headerPayload`
@@ -124,5 +148,101 @@ class DurableLogWriter {
 
 /// The quarantine sibling of a log path.
 std::string quarantinePath(const std::string& path);
+
+/// What loading a log of `Record` lines found. `records` is the lenient
+/// view (every decodable line anywhere in the file, for diagnostics);
+/// resume must trust only the first `validPrefixRecords` of them — the
+/// records before the first corruption, which is exactly what the
+/// writers salvage.
+template <typename Record>
+struct LogLoad {
+  bool exists = false;       ///< file present and non-empty
+  bool headerValid = false;  ///< first line decoded as a header
+  ResultHeader header;
+  std::vector<Record> records;     ///< every decodable record line
+  std::size_t malformedLines = 0;  ///< undecodable/CRC-failing lines
+  /// Crash-consistency view: the byte length of the trusted prefix
+  /// (header + contiguous valid lines from the top), how many records
+  /// it holds, and whether anything — torn tail, garbled line — lies
+  /// beyond it.
+  std::size_t validPrefixBytes = 0;
+  std::size_t validPrefixRecords = 0;
+  bool corruptTail = false;
+};
+
+/// Reads a log whose header carries LineCodec<Record>'s tag; never
+/// throws on content (missing file → !exists).
+template <typename Record>
+LogLoad<Record> loadLog(const std::string& path) {
+  using Codec = LineCodec<Record>;
+  LogLoad<Record> load;
+  const LogScan scan =
+      scanLog(path, [&load](std::string_view payload, std::size_t index) {
+        if (index == 0) {
+          auto header = decodeHeaderLine(payload, Codec::kTag);
+          if (!header.has_value()) return false;
+          load.headerValid = true;
+          load.header = std::move(*header);
+          return true;
+        }
+        auto record = Codec::decode(payload);
+        if (!record.has_value()) return false;
+        load.records.push_back(std::move(*record));
+        return true;
+      });
+  load.exists = !scan.contents.empty();
+  load.malformedLines = scan.malformedLines;
+  load.validPrefixBytes = scan.validPrefixBytes;
+  load.validPrefixRecords =
+      scan.validPrefixLines == 0 ? 0 : scan.validPrefixLines - 1;
+  load.corruptTail = scan.validPrefixBytes < scan.contents.size();
+  return load;
+}
+
+/// Append side of a log of `Record` lines: the header under
+/// LineCodec<Record>'s tag, then one line per append(), on the
+/// crash-safe DurableLogWriter — CRC-tagged lines, failed appends
+/// truncated away, corrupt tails quarantined on open.
+template <typename Record>
+class LogWriter {
+  using Codec = LineCodec<Record>;
+
+ public:
+  /// No-op writer (the log is disabled).
+  LogWriter() = default;
+
+  /// Opens `path`, quarantines any corrupt tail, and writes `header` if
+  /// the salvaged prefix is empty. Throws ncg::Error when the file (or
+  /// its quarantine sibling) cannot be opened.
+  LogWriter(const std::string& path, const ResultHeader& header,
+            DurabilityPolicy durability = {})
+      : log_(path, encodeHeaderLine(header, Codec::kTag),
+             [](std::string_view payload, std::size_t index) {
+               return index == 0
+                          ? decodeHeaderLine(payload, Codec::kTag).has_value()
+                          : Codec::decode(payload).has_value();
+             },
+             durability) {}
+
+  bool enabled() const { return log_.enabled(); }
+
+  /// Appends one record line. A failed write (ENOSPC, injected fault)
+  /// is truncated away and counted in failedAppends(); the run keeps
+  /// the record in memory and a later resume recomputes it.
+  void append(const Record& record) {
+    if (!log_.enabled()) return;
+    (void)log_.appendLine(Codec::encode(record));
+  }
+
+  /// Final flush (fdatasync under the fsync policy) — the drain path.
+  void sync() { log_.sync(); }
+
+  /// What the open-time salvage scan found/quarantined.
+  const LogOpenReport& openReport() const { return log_.openReport(); }
+  std::size_t failedAppends() const { return log_.failedAppends(); }
+
+ private:
+  DurableLogWriter log_;
+};
 
 }  // namespace ncg::runtime

@@ -91,6 +91,10 @@ int listScenarios() {
     std::printf("%-22s %4zu points %6zu trials  %s\n", scenario.name.c_str(),
                 points.size(), trials, scenario.description.c_str());
   }
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "cannot write stdout\n");
+    return 1;
+  }
   return 0;
 }
 

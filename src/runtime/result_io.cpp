@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/string_util.hpp"
+
 namespace ncg::runtime {
 
 namespace {
@@ -16,40 +18,34 @@ void appendHex(std::string& out, std::uint64_t value) {
   out += buffer;
 }
 
-/// Advances `pos` past `token` (which must start there); false on
-/// mismatch or truncation.
-bool expect(std::string_view line, std::size_t& pos,
-            std::string_view token) {
-  if (line.size() - pos < token.size()) return false;
-  if (line.substr(pos, token.size()) != token) return false;
-  pos += token.size();
+}  // namespace
+
+bool LineCursor::literal(std::string_view token) {
+  if (line_.substr(pos_, token.size()) != token) return false;
+  pos_ += token.size();
   return true;
 }
 
-/// Parses a non-negative decimal integer at `pos`.
-bool parseU64(std::string_view line, std::size_t& pos,
-              std::uint64_t& out) {
-  std::size_t digits = 0;
-  std::uint64_t value = 0;
-  while (pos + digits < line.size() && line[pos + digits] >= '0' &&
-         line[pos + digits] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[pos + digits] - '0');
-    ++digits;
-  }
-  if (digits == 0 || digits > 20) return false;
-  pos += digits;
-  out = value;
+bool LineCursor::integer(std::int64_t min, std::int64_t max,
+                         std::int64_t& out) {
+  std::size_t end = pos_;
+  if (min < 0 && end < line_.size() && line_[end] == '-') ++end;
+  const std::size_t digits = end;
+  while (end < line_.size() && line_[end] >= '0' && line_[end] <= '9') ++end;
+  if (end == digits) return false;
+  const auto value = parseInteger64(line_.substr(pos_, end - pos_));
+  if (!value.has_value() || *value < min || *value > max) return false;
+  out = *value;
+  pos_ = end;
   return true;
 }
 
-/// Parses a quoted "0x<16 hex digits>" bit pattern at `pos`.
-bool parseHexBits(std::string_view line, std::size_t& pos,
-                  std::uint64_t& out) {
-  if (!expect(line, pos, "\"0x")) return false;
+bool LineCursor::hexBits(std::uint64_t& out) {
+  if (!literal("\"0x")) return false;
   std::uint64_t value = 0;
-  std::size_t digits = 0;
-  while (pos + digits < line.size() && digits < 16) {
-    const char c = line[pos + digits];
+  for (int digit = 0; digit < 16; ++digit) {
+    if (pos_ == line_.size()) return false;
+    const char c = line_[pos_++];
     int nibble;
     if (c >= '0' && c <= '9') {
       nibble = c - '0';
@@ -58,34 +54,36 @@ bool parseHexBits(std::string_view line, std::size_t& pos,
     } else if (c >= 'a' && c <= 'f') {
       nibble = c - 'a' + 10;
     } else {
-      break;
+      return false;
     }
     value = (value << 4) | static_cast<std::uint64_t>(nibble);
-    ++digits;
   }
-  if (digits != 16) return false;
-  pos += digits;
-  if (!expect(line, pos, "\"")) return false;
+  if (!literal("\"")) return false;
   out = value;
   return true;
 }
 
-/// Parses a quoted string (no escape handling — our writers never emit
-/// escapes) at `pos`.
-bool parseQuoted(std::string_view line, std::size_t& pos,
-                 std::string& out) {
-  if (!expect(line, pos, "\"")) return false;
-  const std::size_t end = line.find('"', pos);
-  if (end == std::string_view::npos) return false;
-  out.assign(line.substr(pos, end - pos));
-  pos = end + 1;
+bool LineCursor::quoted(std::string& out) {
+  if (!literal("\"")) return false;
+  const std::size_t close = line_.find('"', pos_);
+  if (close == std::string_view::npos) return false;
+  out.assign(line_.substr(pos_, close - pos_));
+  pos_ = close + 1;
   return true;
 }
 
-}  // namespace
+bool LineCursor::skipPast(std::string_view token) {
+  const std::size_t at = line_.find(token, pos_);
+  if (at == std::string_view::npos) return false;
+  pos_ = at + token.size();
+  return true;
+}
 
-std::string encodeHeaderLine(const ResultHeader& header) {
-  std::string out = "{\"ncg_run\":1,\"scenario\":\"";
+std::string encodeHeaderLine(const ResultHeader& header,
+                             std::string_view tag) {
+  std::string out = "{\"";
+  out += tag;
+  out += "\":1,\"scenario\":\"";
   out += header.scenario;
   out += "\",\"fingerprint\":\"";
   appendHex(out, header.fingerprint);
@@ -95,22 +93,18 @@ std::string encodeHeaderLine(const ResultHeader& header) {
   return out;
 }
 
-std::optional<ResultHeader> decodeHeaderLine(std::string_view line) {
-  std::size_t pos = 0;
+std::optional<ResultHeader> decodeHeaderLine(std::string_view line,
+                                             std::string_view tag) {
+  LineCursor in(line);
   ResultHeader header;
-  std::uint64_t points = 0;
-  std::uint64_t trials = 0;
-  if (!expect(line, pos, "{\"ncg_run\":1,\"scenario\":") ||
-      !parseQuoted(line, pos, header.scenario) ||
-      !expect(line, pos, ",\"fingerprint\":") ||
-      !parseHexBits(line, pos, header.fingerprint) ||
-      !expect(line, pos, ",\"points\":") || !parseU64(line, pos, points) ||
-      !expect(line, pos, ",\"trials\":") || !parseU64(line, pos, trials) ||
-      !expect(line, pos, "}")) {
+  if (!in.literal("{\"") || !in.literal(tag) ||
+      !in.literal("\":1,\"scenario\":") || !in.quoted(header.scenario) ||
+      !in.literal(",\"fingerprint\":") || !in.hexBits(header.fingerprint) ||
+      !in.literal(",\"points\":") || !in.integer(header.points) ||
+      !in.literal(",\"trials\":") || !in.integer(header.trialsTotal) ||
+      !in.literal("}") || !in.end()) {
     return std::nullopt;
   }
-  header.points = points;
-  header.trialsTotal = trials;
   return header;
 }
 
@@ -143,35 +137,24 @@ std::string encodeTrialLine(const TrialRecord& record) {
 }
 
 std::optional<TrialRecord> decodeTrialLine(std::string_view line) {
-  std::size_t pos = 0;
-  std::uint64_t point = 0;
-  std::uint64_t trial = 0;
-  if (!expect(line, pos, "{\"point\":") || !parseU64(line, pos, point) ||
-      !expect(line, pos, ",\"trial\":") || !parseU64(line, pos, trial) ||
-      !expect(line, pos, ",\"bits\":[")) {
+  LineCursor in(line);
+  TrialRecord record;
+  if (!in.literal("{\"point\":") || !in.integer(record.point) ||
+      !in.literal(",\"trial\":") || !in.integer(record.trial) ||
+      !in.literal(",\"bits\":[")) {
     return std::nullopt;
   }
-  TrialRecord record;
-  record.point = static_cast<int>(point);
-  record.trial = static_cast<int>(trial);
-  if (pos < line.size() && line[pos] != ']') {
-    for (;;) {
+  if (!in.literal("]")) {
+    do {
       std::uint64_t bits = 0;
-      if (!parseHexBits(line, pos, bits)) return std::nullopt;
+      if (!in.hexBits(bits)) return std::nullopt;
       record.metrics.push_back(std::bit_cast<double>(bits));
-      if (pos >= line.size()) return std::nullopt;
-      if (line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
+    } while (in.literal(","));
+    if (!in.literal("]")) return std::nullopt;
   }
   // The "values" tail is for humans; require it to be present and the
   // line to close, so a truncated write is rejected as a whole.
-  if (!expect(line, pos, "],\"values\":[")) return std::nullopt;
-  const std::size_t close = line.find("]}", pos);
-  if (close == std::string_view::npos || close + 2 != line.size()) {
+  if (!in.literal(",\"values\":[") || !in.skipPast("]}") || !in.end()) {
     return std::nullopt;
   }
   return record;

@@ -4,137 +4,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
+#include <limits>
 
 #include "support/build_info.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace ncg::runtime {
-
-namespace {
-
-/// Advances `pos` past `token` (which must start there); false on
-/// mismatch or truncation. Same discipline as result_io.cpp.
-bool expect(std::string_view line, std::size_t& pos,
-            std::string_view token) {
-  if (line.size() - pos < token.size()) return false;
-  if (line.substr(pos, token.size()) != token) return false;
-  pos += token.size();
-  return true;
-}
-
-/// Parses a non-negative decimal integer at `pos`.
-bool parseU64(std::string_view line, std::size_t& pos,
-              std::uint64_t& out) {
-  std::size_t digits = 0;
-  std::uint64_t value = 0;
-  while (pos + digits < line.size() && line[pos + digits] >= '0' &&
-         line[pos + digits] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[pos + digits] - '0');
-    ++digits;
-  }
-  if (digits == 0 || digits > 20) return false;
-  pos += digits;
-  out = value;
-  return true;
-}
-
-/// Parses an optionally negative decimal integer at `pos`. Monotonic
-/// timestamps are non-negative in practice, but the codec must round-
-/// trip whatever the clock seam produced (a ManualClock can be set
-/// anywhere).
-bool parseI64(std::string_view line, std::size_t& pos, std::int64_t& out) {
-  bool negative = false;
-  if (pos < line.size() && line[pos] == '-') {
-    negative = true;
-    ++pos;
-  }
-  std::uint64_t magnitude = 0;
-  if (!parseU64(line, pos, magnitude)) return false;
-  out = negative ? -static_cast<std::int64_t>(magnitude)
-                 : static_cast<std::int64_t>(magnitude);
-  return true;
-}
-
-/// Parses a quoted "0x<16 hex digits>" bit pattern at `pos`.
-bool parseHexBits(std::string_view line, std::size_t& pos,
-                  std::uint64_t& out) {
-  if (!expect(line, pos, "\"0x")) return false;
-  std::uint64_t value = 0;
-  std::size_t digits = 0;
-  while (pos + digits < line.size() && digits < 16) {
-    const char c = line[pos + digits];
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'A' && c <= 'F') {
-      nibble = c - 'A' + 10;
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = c - 'a' + 10;
-    } else {
-      break;
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(nibble);
-    ++digits;
-  }
-  if (digits != 16) return false;
-  pos += digits;
-  if (!expect(line, pos, "\"")) return false;
-  out = value;
-  return true;
-}
-
-/// Parses a quoted string (no escape handling — our writers never emit
-/// escapes) at `pos`.
-bool parseQuoted(std::string_view line, std::size_t& pos,
-                 std::string& out) {
-  if (!expect(line, pos, "\"")) return false;
-  const std::size_t end = line.find('"', pos);
-  if (end == std::string_view::npos) return false;
-  out.assign(line.substr(pos, end - pos));
-  pos = end + 1;
-  return true;
-}
-
-void appendHex(std::string& out, std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "0x%016llX",
-                static_cast<unsigned long long>(value));
-  out += buffer;
-}
-
-}  // namespace
-
-std::string encodeTimingHeaderLine(const ResultHeader& header) {
-  std::string out = "{\"ncg_timings\":1,\"scenario\":\"";
-  out += header.scenario;
-  out += "\",\"fingerprint\":\"";
-  appendHex(out, header.fingerprint);
-  out += "\",\"points\":" + std::to_string(header.points);
-  out += ",\"trials\":" + std::to_string(header.trialsTotal);
-  out += "}";
-  return out;
-}
-
-std::optional<ResultHeader> decodeTimingHeaderLine(std::string_view line) {
-  std::size_t pos = 0;
-  ResultHeader header;
-  std::uint64_t points = 0;
-  std::uint64_t trials = 0;
-  if (!expect(line, pos, "{\"ncg_timings\":1,\"scenario\":") ||
-      !parseQuoted(line, pos, header.scenario) ||
-      !expect(line, pos, ",\"fingerprint\":") ||
-      !parseHexBits(line, pos, header.fingerprint) ||
-      !expect(line, pos, ",\"points\":") || !parseU64(line, pos, points) ||
-      !expect(line, pos, ",\"trials\":") || !parseU64(line, pos, trials) ||
-      !expect(line, pos, "}") || pos != line.size()) {
-    return std::nullopt;
-  }
-  header.points = points;
-  header.trialsTotal = trials;
-  return header;
-}
 
 std::string encodeTimingLine(const UnitTiming& timing) {
   std::string out = "{\"unit_timing\":1,\"point\":" +
@@ -148,23 +24,23 @@ std::string encodeTimingLine(const UnitTiming& timing) {
 }
 
 std::optional<UnitTiming> decodeTimingLine(std::string_view line) {
-  std::size_t pos = 0;
-  std::uint64_t point = 0;
-  std::uint64_t trial = 0;
+  // Monotonic timestamps are non-negative in practice, but the codec
+  // must round-trip whatever the clock seam produced (a ManualClock can
+  // be set anywhere).
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  LineCursor in(line);
   UnitTiming timing;
-  if (!expect(line, pos, "{\"unit_timing\":1,\"point\":") ||
-      !parseU64(line, pos, point) || !expect(line, pos, ",\"trial\":") ||
-      !parseU64(line, pos, trial) || !expect(line, pos, ",\"start_us\":") ||
-      !parseI64(line, pos, timing.startUs) ||
-      !expect(line, pos, ",\"dur_us\":") ||
-      !parseI64(line, pos, timing.durationUs) ||
-      !expect(line, pos, ",\"worker\":") ||
-      !parseU64(line, pos, timing.worker) || !expect(line, pos, "}") ||
-      pos != line.size()) {
+  if (!in.literal("{\"unit_timing\":1,\"point\":") ||
+      !in.integer(timing.point) || !in.literal(",\"trial\":") ||
+      !in.integer(timing.trial) || !in.literal(",\"start_us\":") ||
+      !in.integer(kMin, kMax, timing.startUs) ||
+      !in.literal(",\"dur_us\":") ||
+      !in.integer(kMin, kMax, timing.durationUs) ||
+      !in.literal(",\"worker\":") || !in.integer(timing.worker) ||
+      !in.literal("}") || !in.end()) {
     return std::nullopt;
   }
-  timing.point = static_cast<int>(point);
-  timing.trial = static_cast<int>(trial);
   return timing;
 }
 
@@ -172,81 +48,8 @@ std::string timingSidecarPath(const std::string& checkpointPath) {
   return checkpointPath + ".timings.jsonl";
 }
 
-TimingWriter::TimingWriter(const std::string& path,
-                           const ResultHeader& header,
-                           DurabilityPolicy durability)
-    : log_(path, encodeTimingHeaderLine(header),
-           [](std::string_view payload, std::size_t index) {
-             return index == 0
-                        ? decodeTimingHeaderLine(payload).has_value()
-                        : decodeTimingLine(payload).has_value();
-           },
-           durability) {}
-
-void TimingWriter::append(const UnitTiming& timing) {
-  if (!log_.enabled()) return;
-  (void)log_.appendLine(encodeTimingLine(timing));
-}
-
 TimingLoad loadTimingSidecar(const std::string& path) {
-  TimingLoad load;
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return load;
-
-  std::string line;
-  bool first = true;
-  bool prefixIntact = true;
-  char buffer[4096];
-  const auto consume = [&] {
-    const std::size_t lineBytes = line.size() + 1;  // incl. newline
-    const bool isHeaderSlot = first;
-    first = false;
-    const auto checked = verifyLineChecksum(line);
-    bool valid = false;
-    bool isTiming = false;
-    if (!checked.has_value()) {
-      ++load.malformedLines;  // CRC suffix present but wrong
-    } else if (isHeaderSlot) {
-      if (auto header = decodeTimingHeaderLine(checked->payload)) {
-        load.headerValid = true;
-        load.header = std::move(*header);
-        valid = true;
-      } else {
-        ++load.malformedLines;
-      }
-    } else if (auto timing = decodeTimingLine(checked->payload)) {
-      load.timings.push_back(*timing);
-      valid = true;
-      isTiming = true;
-    } else {
-      ++load.malformedLines;
-    }
-    if (prefixIntact && valid) {
-      load.validPrefixBytes += lineBytes;
-      if (isTiming) ++load.validPrefixTimings;
-    } else {
-      prefixIntact = false;
-    }
-    line.clear();
-  };
-
-  bool sawAny = false;
-  while (std::fgets(buffer, sizeof buffer, file) != nullptr) {
-    sawAny = true;
-    line += buffer;
-    if (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-      consume();
-    }
-  }
-  if (!line.empty()) {
-    ++load.malformedLines;
-    prefixIntact = false;
-  }
-  std::fclose(file);
-  load.exists = sawAny;
-  load.corruptTail = load.exists && !prefixIntact;
-  return load;
+  return loadLog<UnitTiming>(path);
 }
 
 TimingSummary summarizeTimings(const std::vector<ScenarioPoint>& points,

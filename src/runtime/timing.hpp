@@ -44,67 +44,34 @@ struct UnitTiming {
   friend bool operator==(const UnitTiming&, const UnitTiming&) = default;
 };
 
-/// {"ncg_timings":1,"scenario":...,"fingerprint":"0x...","points":N,
-///  "trials":T} — the sidecar's self-description, mirroring the result
-/// manifest header so a sidecar can be matched to its run.
-std::string encodeTimingHeaderLine(const ResultHeader& header);
-std::optional<ResultHeader> decodeTimingHeaderLine(std::string_view line);
+/// First key of the sidecar's header line: the manifest's header under
+/// its own tag, so a sidecar can be matched to its run.
+inline constexpr std::string_view kTimingTag = "ncg_timings";
 
 /// {"unit_timing":1,"point":P,"trial":T,"start_us":S,"dur_us":D,
-///  "worker":W} — decoders follow result_io's strict discipline:
-/// anything malformed or truncated yields nullopt, never a guess.
+///  "worker":W} — decoded through result_io's LineCursor: anything
+/// malformed, truncated or out of its field's range yields nullopt,
+/// never a guess.
 std::string encodeTimingLine(const UnitTiming& timing);
 std::optional<UnitTiming> decodeTimingLine(std::string_view line);
+
+template <>
+struct LineCodec<UnitTiming> {
+  static constexpr std::string_view kTag = kTimingTag;
+  static constexpr auto encode = encodeTimingLine;
+  static constexpr auto decode = decodeTimingLine;
+};
 
 /// The sidecar path of a checkpoint manifest: "<checkpoint>.timings.jsonl".
 std::string timingSidecarPath(const std::string& checkpointPath);
 
-/// Append-side of the timing sidecar — same crash-safe contract as
-/// CheckpointWriter (runtime/durable_log.hpp): CRC-tagged lines, failed
-/// appends truncated away, corrupt tails quarantined on open.
-class TimingWriter {
- public:
-  /// No-op writer (timing sidecar disabled).
-  TimingWriter() = default;
+/// Append side of the timing sidecar: the manifest's crash-safe log
+/// (runtime/durable_log.hpp) over timing lines.
+using TimingWriter = LogWriter<UnitTiming>;
 
-  /// Opens `path`, quarantines any corrupt tail, and writes `header` if
-  /// the salvaged prefix is empty. Throws ncg::Error when the file (or
-  /// its quarantine sibling) cannot be opened.
-  TimingWriter(const std::string& path, const ResultHeader& header,
-               DurabilityPolicy durability = {});
-
-  TimingWriter(TimingWriter&&) noexcept = default;
-  TimingWriter& operator=(TimingWriter&&) noexcept = default;
-  TimingWriter(const TimingWriter&) = delete;
-  TimingWriter& operator=(const TimingWriter&) = delete;
-
-  bool enabled() const { return log_.enabled(); }
-
-  void append(const UnitTiming& timing);
-
-  /// Final flush (fdatasync under the fsync policy) — the drain path.
-  void sync() { log_.sync(); }
-
-  const LogOpenReport& openReport() const { return log_.openReport(); }
-  std::size_t failedAppends() const { return log_.failedAppends(); }
-
- private:
-  DurableLogWriter log_;
-};
-
-/// What loading a sidecar file found (diagnostics and tests; executors
-/// never read timings back to make decisions). Prefix semantics mirror
-/// CheckpointLoad.
-struct TimingLoad {
-  bool exists = false;
-  bool headerValid = false;
-  ResultHeader header;
-  std::vector<UnitTiming> timings;
-  std::size_t malformedLines = 0;
-  std::size_t validPrefixBytes = 0;
-  std::size_t validPrefixTimings = 0;
-  bool corruptTail = false;
-};
+/// What loading a sidecar found (diagnostics and tests; executors never
+/// read timings back to make decisions).
+using TimingLoad = LogLoad<UnitTiming>;
 
 TimingLoad loadTimingSidecar(const std::string& path);
 

@@ -76,33 +76,6 @@ std::optional<Frame> FrameReader::next() {
   return frame;
 }
 
-namespace {
-
-/// Advances `pos` past `token` (which must start there); false on
-/// mismatch or truncation — the same strict style as result_io.
-bool expect(std::string_view s, std::size_t& pos, std::string_view token) {
-  if (s.size() - pos < token.size()) return false;
-  if (s.substr(pos, token.size()) != token) return false;
-  pos += token.size();
-  return true;
-}
-
-bool parseU64(std::string_view s, std::size_t& pos, std::uint64_t& out) {
-  std::size_t digits = 0;
-  std::uint64_t value = 0;
-  while (pos + digits < s.size() && s[pos + digits] >= '0' &&
-         s[pos + digits] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(s[pos + digits] - '0');
-    ++digits;
-  }
-  if (digits == 0 || digits > 20) return false;
-  pos += digits;
-  out = value;
-  return true;
-}
-
-}  // namespace
-
 std::string encodeLeaseGrant(const LeaseGrant& grant) {
   std::string out = "{\"lease\":" + std::to_string(grant.leaseId);
   out += ",\"units\":[";
@@ -115,29 +88,21 @@ std::string encodeLeaseGrant(const LeaseGrant& grant) {
 }
 
 std::optional<LeaseGrant> decodeLeaseGrant(std::string_view payload) {
-  std::size_t pos = 0;
+  LineCursor in(payload);
   LeaseGrant grant;
-  if (!expect(payload, pos, "{\"lease\":") ||
-      !parseU64(payload, pos, grant.leaseId) ||
-      !expect(payload, pos, ",\"units\":[")) {
+  if (!in.literal("{\"lease\":") || !in.integer(grant.leaseId) ||
+      !in.literal(",\"units\":[")) {
     return std::nullopt;
   }
-  if (pos < payload.size() && payload[pos] != ']') {
-    for (;;) {
+  if (!in.literal("]")) {
+    do {
       std::uint64_t unit = 0;
-      if (!parseU64(payload, pos, unit)) return std::nullopt;
+      if (!in.integer(unit)) return std::nullopt;
       grant.units.push_back(unit);
-      if (pos >= payload.size()) return std::nullopt;
-      if (payload[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      break;
-    }
+    } while (in.literal(","));
+    if (!in.literal("]")) return std::nullopt;
   }
-  if (!expect(payload, pos, "]}") || pos != payload.size()) {
-    return std::nullopt;
-  }
+  if (!in.literal("}") || !in.end()) return std::nullopt;
   return grant;
 }
 
@@ -160,11 +125,9 @@ std::optional<Welcome> decodeWelcome(std::string_view payload) {
 }
 
 std::optional<std::uint64_t> decodeDecimal(std::string_view payload) {
-  std::size_t pos = 0;
+  LineCursor in(payload);
   std::uint64_t value = 0;
-  if (!parseU64(payload, pos, value) || pos != payload.size()) {
-    return std::nullopt;
-  }
+  if (!in.integer(value) || !in.end()) return std::nullopt;
   return value;
 }
 

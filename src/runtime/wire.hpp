@@ -5,11 +5,12 @@
 // exists — a kResult payload is exactly one result_io trial line, so a
 // metric crosses the wire as its IEEE-754 bit pattern and the
 // multi-host determinism guarantee rests on the same codec the
-// checkpoint manifest uses. Decoding follows result_io's discipline:
-// every decoder validates strictly and reports failure instead of
-// guessing, because the server's response to any malformed input is to
-// drop the connection and re-lease the dead worker's shards — never to
-// crash or corrupt the manifest.
+// checkpoint manifest uses. Every payload decoder reads through
+// result_io's LineCursor, so it validates strictly — each integer in
+// its field's range — and reports failure instead of guessing, because
+// the server's response to any malformed input is to drop the
+// connection and re-lease the dead worker's shards — never to crash or
+// corrupt the manifest.
 //
 // Conversation (worker → server unless noted):
 //   kHello(scenario name)  → kWelcome(header line + heartbeat interval)
@@ -132,7 +133,8 @@ struct Welcome {
 std::string encodeWelcome(const Welcome& welcome);
 std::optional<Welcome> decodeWelcome(std::string_view payload);
 
-/// Parses an all-digits decimal (kRetry payloads); nullopt otherwise.
+/// Parses an all-digits decimal up to INT64_MAX (kRetry payloads, the
+/// port of an address); nullopt otherwise.
 std::optional<std::uint64_t> decodeDecimal(std::string_view payload);
 
 }  // namespace ncg::runtime

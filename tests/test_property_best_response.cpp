@@ -32,6 +32,14 @@ struct Sweep {
   Dist k;
 };
 
+// Prints the fields: gtest_discover_tests appends this text to the
+// CTest name, and gtest's fallback (a hex dump of the object, padding
+// included) changes from build to build.
+void PrintTo(const Sweep& s, std::ostream* os) {
+  *os << '(' << (s.kind == GameKind::kMax ? "max" : "sum") << ", "
+      << s.alpha << ", " << s.k << ')';
+}
+
 std::string sweepName(const ::testing::TestParamInfo<Sweep>& info) {
   const auto& s = info.param;
   std::string name = s.kind == GameKind::kMax ? "max" : "sum";

@@ -102,9 +102,19 @@ TEST(ResultIo, RejectsMalformedAndTruncatedTrialLines) {
   EXPECT_FALSE(decodeTrialLine(good + "x").has_value());
   EXPECT_FALSE(decodeTrialLine("{}").has_value());
   EXPECT_FALSE(decodeTrialLine("").has_value());
-  EXPECT_FALSE(
-      decodeTrialLine("{\"point\":-1,\"trial\":0,\"bits\":[],\"values\":[]}")
-          .has_value());
+  // Indices outside int's range are rejected, never wrapped or cast.
+  for (const char* bad :
+       {"{\"point\":-1,\"trial\":0,\"bits\":[],\"values\":[]}",
+        "{\"point\":18446744073709551616,\"trial\":0,\"bits\":[],"
+        "\"values\":[]}",
+        "{\"point\":0,\"trial\":4294967297,\"bits\":[],\"values\":[]}"}) {
+    EXPECT_FALSE(decodeTrialLine(bad).has_value()) << bad;
+  }
+  const auto edge =
+      decodeTrialLine("{\"point\":2147483647,\"trial\":0,\"bits\":[],"
+                      "\"values\":[]}");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->point, std::numeric_limits<int>::max());
 }
 
 TEST(ResultIo, HeaderLineRoundTrips) {
@@ -116,6 +126,7 @@ TEST(ResultIo, HeaderLineRoundTrips) {
   EXPECT_FALSE(decodeHeaderLine("not a header").has_value());
   EXPECT_FALSE(
       decodeHeaderLine(encodeTrialLine({0, 0, {1.0}})).has_value());
+  EXPECT_FALSE(decodeHeaderLine(encodeHeaderLine(header) + "x").has_value());
 }
 
 TEST(Checkpoint, WriteThenLoadRestoresHeaderAndRecords) {

@@ -51,7 +51,8 @@ TEST(TimingCodec, NegativeStartRoundTrips) {
 
 TEST(TimingCodec, HeaderLineRoundTrips) {
   const ResultHeader header{"fixture", 0xDEADBEEFCAFE1234ULL, 6, 24};
-  const auto decoded = decodeTimingHeaderLine(encodeTimingHeaderLine(header));
+  const auto decoded =
+      decodeHeaderLine(encodeHeaderLine(header, kTimingTag), kTimingTag);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, header);
 }
@@ -67,13 +68,18 @@ TEST(TimingCodec, MalformedLinesAreRejected) {
   // Trailing garbage.
   EXPECT_FALSE(decodeTimingLine(good + " ").has_value());
   EXPECT_FALSE(decodeTimingLine(good + "x").has_value());
+  // A point outside int's range, never wrapped into one.
+  EXPECT_FALSE(decodeTimingLine("{\"unit_timing\":1,\"point\":4294967296,"
+                                "\"trial\":2,\"start_us\":3,\"dur_us\":4,"
+                                "\"worker\":5}")
+                   .has_value());
   // Result-manifest lines are not timing lines and vice versa.
   EXPECT_FALSE(
       decodeTimingLine("{\"point\":0,\"trial\":0,\"bits\":[],\"values\":[]}")
           .has_value());
-  EXPECT_FALSE(decodeTimingHeaderLine(
-                   encodeHeaderLine({"fixture", 1, 2, 3}))
-                   .has_value());
+  EXPECT_FALSE(
+      decodeHeaderLine(encodeHeaderLine({"fixture", 1, 2, 3}), kTimingTag)
+          .has_value());
   EXPECT_FALSE(decodeTrialLine(good).has_value());
 }
 
@@ -174,8 +180,8 @@ TEST(TimingWriterIo, AppendReloadAndTornTailHealing) {
   EXPECT_TRUE(load.exists);
   EXPECT_TRUE(load.headerValid);
   EXPECT_EQ(load.header, header);
-  ASSERT_EQ(load.timings.size(), 3U);
-  EXPECT_EQ(load.timings[2], (UnitTiming{0, 2, 300, 30, 1}));
+  ASSERT_EQ(load.records.size(), 3U);
+  EXPECT_EQ(load.records[2], (UnitTiming{0, 2, 300, 30, 1}));
   EXPECT_EQ(load.malformedLines, 0U);  // the fragment left the file...
   const std::string quarantined = readFile(quarantinePath(path));
   EXPECT_NE(quarantined.find("{\"unit_timing\":1,\"point\":0,\"tri"),
@@ -291,7 +297,7 @@ TEST(RunnerTiming, ManifestIsByteIdenticalWithTimingOnOrOff) {
   EXPECT_TRUE(sidecar.exists);
   EXPECT_TRUE(sidecar.headerValid);
   EXPECT_EQ(sidecar.malformedLines, 0U);
-  EXPECT_EQ(unitSet(sidecar.timings), fullGrid());
+  EXPECT_EQ(unitSet(sidecar.records), fullGrid());
 
   std::remove(ckOff.c_str());
   std::remove(ckOn.c_str());
@@ -327,7 +333,7 @@ TEST(RunnerTiming, ForkedWorkersTimeEveryUnitExactlyOnce) {
   const TimingLoad sidecar = loadTimingSidecar(timingSidecarPath(ck));
   EXPECT_TRUE(sidecar.headerValid);
   EXPECT_EQ(sidecar.malformedLines, 0U);
-  EXPECT_EQ(unitSet(sidecar.timings), fullGrid());
+  EXPECT_EQ(unitSet(sidecar.records), fullGrid());
   // The manifest took no timing lines even over the worker pipes.
   const CheckpointLoad manifest = loadCheckpoint(ck);
   EXPECT_EQ(manifest.records.size(), 24U);
@@ -347,7 +353,7 @@ TEST(RunnerTiming, ResumeAppendsOnlyTheRemainingUnits) {
   const RunReport partial = runScenario(timingScenario(), first);
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.timings.size(), 5U);
-  EXPECT_EQ(loadTimingSidecar(timingSidecarPath(ck)).timings.size(), 5U);
+  EXPECT_EQ(loadTimingSidecar(timingSidecarPath(ck)).records.size(), 5U);
 
   RunOptions resume;
   resume.procs = 2;
@@ -356,7 +362,7 @@ TEST(RunnerTiming, ResumeAppendsOnlyTheRemainingUnits) {
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.timings.size(), 19U);  // only what this call computed
   const TimingLoad sidecar = loadTimingSidecar(timingSidecarPath(ck));
-  EXPECT_EQ(unitSet(sidecar.timings), fullGrid());
+  EXPECT_EQ(unitSet(sidecar.records), fullGrid());
   std::remove(ck.c_str());
   std::remove(timingSidecarPath(ck).c_str());
 }
@@ -432,7 +438,7 @@ TEST(ServeTiming, FramesAreStampedDedupedAndSidecarred) {
   const TimingLoad sidecar = loadTimingSidecar(timingSidecarPath(ck));
   EXPECT_TRUE(sidecar.headerValid);
   EXPECT_EQ(sidecar.malformedLines, 0U);
-  EXPECT_EQ(unitSet(sidecar.timings), fullGrid());
+  EXPECT_EQ(unitSet(sidecar.records), fullGrid());
   const CheckpointLoad manifest = loadCheckpoint(ck);
   EXPECT_EQ(manifest.records.size(), 24U);
   EXPECT_EQ(manifest.malformedLines, 0U);

@@ -151,7 +151,8 @@ TEST(FrameCodec, EncodeRejectsOversizedPayload) {
 TEST(FrameCodec, LeaseGrantRoundTrip) {
   for (const LeaseGrant& grant :
        {LeaseGrant{1, {}}, LeaseGrant{7, {0}},
-        LeaseGrant{123456789, {5, 6, 7, 1000000}}}) {
+        LeaseGrant{123456789, {5, 6, 7, 1000000}},
+        LeaseGrant{2, {9223372036854775807ULL}}}) {
     const auto decoded = decodeLeaseGrant(encodeLeaseGrant(grant));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, grant);
@@ -163,7 +164,8 @@ TEST(FrameCodec, LeaseGrantRejectsMalformedPayloads) {
        {"", "{}", "{\"lease\":1,\"units\":[]}x",
         "{\"lease\":,\"units\":[]}", "{\"lease\":1,\"units\":[1,]}",
         "{\"lease\":1,\"units\":[1,2}", "{\"lease\":1,\"units\":[1 2]}",
-        "{\"lease\":1}", "{\"Lease\":1,\"units\":[]}"}) {
+        "{\"lease\":1}", "{\"Lease\":1,\"units\":[]}",
+        "{\"lease\":1,\"units\":[18446744073709551616]}"}) {
     EXPECT_FALSE(decodeLeaseGrant(bad).has_value()) << bad;
   }
 }
@@ -192,7 +194,7 @@ TEST(FrameCodec, DecodeDecimal) {
   EXPECT_EQ(decodeDecimal("0"), 0U);
   EXPECT_EQ(decodeDecimal("5000"), 5000U);
   for (const char* bad : {"", " 5", "5 ", "12x", "x12", "-3",
-                          "999999999999999999999"}) {
+                          "999999999999999999999", "18446744073709551617"}) {
     EXPECT_FALSE(decodeDecimal(bad).has_value()) << bad;
   }
 }
