@@ -20,8 +20,9 @@ EquilibriumReport checkLke(const Graph& g, const StrategyProfile& profile,
               "graph/profile size mismatch");
   EquilibriumReport report;
   BfsEngine engine;
+  PlayerView pv;
   for (NodeId u = 0; u < g.nodeCount(); ++u) {
-    const PlayerView pv = buildPlayerView(g, profile, u, params.k, engine);
+    buildPlayerView(g, profile, u, params.k, engine, pv);
     const BestResponse br = bestResponse(
         pv, params.heterogeneous() ? params.forPlayer(u) : params, options);
     report.exact = report.exact && br.exact;

@@ -40,31 +40,16 @@ struct PlayerView {
   Dist eccInView = 0;
 };
 
-/// Assembles u's view of the game state (G must be profile's graph).
-PlayerView buildPlayerView(const Graph& g, const StrategyProfile& profile,
-                           NodeId u, Dist k);
-
-/// As above, reusing a caller-owned BFS engine (dynamics hot path).
-PlayerView buildPlayerView(const Graph& g, const StrategyProfile& profile,
-                           NodeId u, Dist k, BfsEngine& engine);
-
-/// As above, rebuilding into a caller-owned view so all member vectors
-/// reuse their storage (incremental dynamics cache; zero allocations in
-/// steady state).
-void buildPlayerView(const Graph& g, const StrategyProfile& profile,
-                     NodeId u, Dist k, BfsEngine& engine, PlayerView& out);
-
-/// As above, walking the flat CSR mirror the dynamics cache keeps in
-/// sync with its graph (byte-identical views; faster BFS rows).
-void buildPlayerView(const CsrGraph& g, const StrategyProfile& profile,
-                     NodeId u, Dist k, BfsEngine& engine, PlayerView& out);
-
-/// Generic assembly over any adjacency backend usable by buildViewT
-/// (`nodeCount()` + ADL `neighborRow`) and any profile-like source of
-/// strategy state: `playerCount()`, `boughtCount(u)` and `strategyOf(u)`
-/// returning an ascending-sorted range of bought endpoints. The paged
-/// out-of-core backend pairs PagedGraph with a strategy reader over the
-/// arena's ownership plane; StrategyProfile satisfies the concept as-is.
+/// Assembles u's view of the game state into `out`, reusing all of its
+/// member vectors (the dynamics hot path: zero allocations in steady
+/// state), with a caller-owned BFS engine. G must be the profile's graph.
+///
+/// Runs on any adjacency backend buildView accepts (`nodeCount()` + ADL
+/// `neighborRow`) and any profile-like source of strategy state:
+/// `playerCount()`, `boughtCount(u)` and `strategyOf(u)` returning an
+/// ascending-sorted range of bought endpoints. StrategyProfile satisfies
+/// the concept as-is; the paged out-of-core backend pairs PagedGraph with
+/// a strategy reader over the arena's ownership plane.
 ///
 /// Pager safety: after the view is extracted, the free-neighbor scan
 /// walks the *view graph's* center row (a resident RAM copy of u's
@@ -73,8 +58,8 @@ void buildPlayerView(const CsrGraph& g, const StrategyProfile& profile,
 /// differs from the backend row only up to permutation, and
 /// freeNeighborsLocal is sorted afterwards, so results are identical.
 template <typename AnyGraph, typename AnyProfile>
-void buildPlayerViewT(const AnyGraph& g, const AnyProfile& profile, NodeId u,
-                      Dist k, BfsEngine& engine, PlayerView& out) {
+void buildPlayerView(const AnyGraph& g, const AnyProfile& profile, NodeId u,
+                     Dist k, BfsEngine& engine, PlayerView& out) {
   NCG_REQUIRE(g.nodeCount() == profile.playerCount(),
               "graph/profile size mismatch");
   NCG_REQUIRE(k >= 1, "view radius k must be >= 1, got " << k);
@@ -84,7 +69,7 @@ void buildPlayerViewT(const AnyGraph& g, const AnyProfile& profile, NodeId u,
   out.ownBoughtLocal.clear();
   out.freeNeighborsLocal.clear();
   out.fringeLocal.clear();
-  buildViewT(g, u, k, engine, out.view);
+  buildView(g, u, k, engine, out.view);
 
   // Distances from the center inside the induced ball coincide with
   // distances in G (shortest paths to nodes at distance <= k stay inside
@@ -118,6 +103,19 @@ void buildPlayerViewT(const AnyGraph& g, const AnyProfile& profile, NodeId u,
     }
   }
   std::sort(out.freeNeighborsLocal.begin(), out.freeNeighborsLocal.end());
+}
+
+/// As above into a fresh view, with a fresh engine (allocates per call).
+PlayerView buildPlayerView(const Graph& g, const StrategyProfile& profile,
+                           NodeId u, Dist k);
+
+/// A stub for perfbench/ncg_trace.cpp, which changes only together with
+/// the benchmark and still calls this name. Delete it once that file
+/// calls buildPlayerView.
+template <typename AnyGraph, typename AnyProfile>
+void buildPlayerViewT(const AnyGraph& g, const AnyProfile& profile, NodeId u,
+                      Dist k, BfsEngine& engine, PlayerView& out) {
+  buildPlayerView(g, profile, u, k, engine, out);
 }
 
 }  // namespace ncg

@@ -280,6 +280,96 @@ BestResponse greedyMoveOracle(const PlayerView& pv, const GameParams& params,
   return res;
 }
 
+/// The per-candidate-BFS enumeration behind greedyMoveReference and
+/// noisyGreedyMove. Fills `res`'s current strategy and cost, then
+/// evaluates every single-edge move with a fresh multi-source BFS over
+/// H₀ — all buys, then all deletes, then the swaps of each owned edge —
+/// and hands each one's cost to `consider(cost, makeOwn)`, where
+/// makeOwn() builds the move's own-list. The caller's acceptance rule
+/// decides what to keep; the order is part of its semantics. A
+/// single-node view has no moves.
+template <typename Consider>
+void scanSingleEdgeMoves(const PlayerView& pv, const GameParams& params,
+                         BestResponseScratch& scratch, BestResponse& res,
+                         Consider&& consider) {
+  if (prepareResult(pv, params, res)) return;
+  const MoveSetup setup = prepareSetup(pv, scratch);
+  const std::vector<NodeId>& currentOwn = *setup.currentOwn;
+  const std::vector<NodeId>& currentSources = *setup.currentSources;
+  const std::vector<bool>& isFringe = *setup.isFringe;
+  const std::vector<bool>& isFree = *setup.isFree;
+  const std::vector<bool>& isOwn = *setup.isOwn;
+
+  // H₀ = view minus center, ids shifted by -1, rebuilt into the
+  // reusable scratch slot.
+  removeCenterInto(pv.view.graph, pv.view.center, scratch.h0);
+  const CsrGraph& h0 = scratch.h0;
+  BfsEngine& engine = scratch.bfs;
+
+  res.currentCost =
+      params.alpha * static_cast<double>(currentOwn.size()) +
+      usageOf(h0, currentSources, params, isFringe, engine);
+  res.proposedCost = res.currentCost;
+
+  std::vector<NodeId> sources;
+  // Evaluates the current source set with `ownCount` purchases.
+  const auto evaluate = [&](std::size_t ownCount, const auto& makeOwn) {
+    consider(params.alpha * static_cast<double>(ownCount) +
+                 usageOf(h0, sources, params, isFringe, engine),
+             makeOwn);
+  };
+
+  // Buy one new edge: push/pop the candidate on the shared source list.
+  sources = currentSources;
+  for (NodeId v = 0; v < setup.m0; ++v) {
+    if (isOwn[static_cast<std::size_t>(v)] ||
+        isFree[static_cast<std::size_t>(v)]) {
+      continue;
+    }
+    sources.push_back(v);
+    evaluate(currentOwn.size() + 1, [&] {
+      std::vector<NodeId> own = currentOwn;
+      own.push_back(v);
+      return own;
+    });
+    sources.pop_back();
+  }
+  // Delete one owned edge (a free link stays a BFS source when dropped).
+  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
+    const NodeId dropped = currentOwn[i];
+    sources = currentSources;
+    if (!isFree[static_cast<std::size_t>(dropped)]) {
+      sources.erase(std::find(sources.begin(), sources.end(), dropped));
+    }
+    evaluate(currentOwn.size() - 1, [&] {
+      std::vector<NodeId> own = currentOwn;
+      own.erase(own.begin() + static_cast<std::ptrdiff_t>(i));
+      return own;
+    });
+  }
+  // Swap: delete one owned, buy one elsewhere.
+  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
+    const NodeId dropped = currentOwn[i];
+    sources = currentSources;
+    if (!isFree[static_cast<std::size_t>(dropped)]) {
+      sources.erase(std::find(sources.begin(), sources.end(), dropped));
+    }
+    for (NodeId v = 0; v < setup.m0; ++v) {
+      if (v == dropped || isOwn[static_cast<std::size_t>(v)] ||
+          isFree[static_cast<std::size_t>(v)]) {
+        continue;
+      }
+      sources.push_back(v);
+      evaluate(currentOwn.size(), [&] {
+        std::vector<NodeId> own = currentOwn;
+        own[i] = v;
+        return own;
+      });
+      sources.pop_back();
+    }
+  }
+}
+
 }  // namespace
 
 BestResponse greedyMove(const PlayerView& pv, const GameParams& params) {
@@ -305,90 +395,18 @@ BestResponse greedyMoveReference(const PlayerView& pv,
                                  const GameParams& params,
                                  BestResponseScratch& scratch) {
   BestResponse res;
-  if (prepareResult(pv, params, res)) return res;
-  const MoveSetup setup = prepareSetup(pv, scratch);
-  const std::vector<NodeId>& currentOwn = *setup.currentOwn;
-  const std::vector<NodeId>& currentSources = *setup.currentSources;
-  const std::vector<bool>& isFringe = *setup.isFringe;
-  const std::vector<bool>& isFree = *setup.isFree;
-  const std::vector<bool>& isOwn = *setup.isOwn;
-
-  // H₀ = view minus center, ids shifted by -1, rebuilt into the
-  // reusable scratch slot.
-  removeCenterInto(pv.view.graph, pv.view.center, scratch.h0);
-  const CsrGraph& h0 = scratch.h0;
-  BfsEngine& engine = scratch.bfs;
-
-  res.currentCost =
-      params.alpha * static_cast<double>(currentOwn.size()) +
-      usageOf(h0, currentSources, params, isFringe, engine);
-  res.proposedCost = res.currentCost;
-
-  double bestCost = res.currentCost;
-  std::vector<NodeId> bestOwn = currentOwn;
-
-  std::vector<NodeId> sources;
-  // Evaluates the current source set with `ownCount` purchases; on strict
-  // improvement, records the own-list produced by `makeOwn`.
-  const auto consider = [&](std::size_t ownCount, const auto& makeOwn) {
-    const double cost = params.alpha * static_cast<double>(ownCount) +
-                        usageOf(h0, sources, params, isFringe, engine);
-    if (cost < bestCost - kCostEpsilon) {
-      bestCost = cost;
-      bestOwn = makeOwn();
-    }
-  };
-
-  // Buy one new edge: push/pop the candidate on the shared source list.
-  sources = currentSources;
-  for (NodeId v = 0; v < setup.m0; ++v) {
-    if (isOwn[static_cast<std::size_t>(v)] ||
-        isFree[static_cast<std::size_t>(v)]) {
-      continue;
-    }
-    sources.push_back(v);
-    consider(currentOwn.size() + 1, [&] {
-      std::vector<NodeId> own = currentOwn;
-      own.push_back(v);
-      return own;
-    });
-    sources.pop_back();
-  }
-  // Delete one owned edge.
-  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
-    const NodeId dropped = currentOwn[i];
-    sources = currentSources;
-    if (!isFree[static_cast<std::size_t>(dropped)]) {
-      sources.erase(std::find(sources.begin(), sources.end(), dropped));
-    }
-    consider(currentOwn.size() - 1, [&] {
-      std::vector<NodeId> own = currentOwn;
-      own.erase(own.begin() + static_cast<std::ptrdiff_t>(i));
-      return own;
-    });
-  }
-  // Swap: delete one owned, buy one elsewhere.
-  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
-    const NodeId dropped = currentOwn[i];
-    sources = currentSources;
-    if (!isFree[static_cast<std::size_t>(dropped)]) {
-      sources.erase(std::find(sources.begin(), sources.end(), dropped));
-    }
-    for (NodeId v = 0; v < setup.m0; ++v) {
-      if (v == dropped || isOwn[static_cast<std::size_t>(v)] ||
-          isFree[static_cast<std::size_t>(v)]) {
-        continue;
-      }
-      sources.push_back(v);
-      consider(currentOwn.size(), [&] {
-        std::vector<NodeId> own = currentOwn;
-        own[i] = v;
-        return own;
-      });
-      sources.pop_back();
-    }
-  }
-
+  // The running best is the current cost until a move beats it (the scan
+  // sets res.currentCost before its first candidate).
+  double bestCost = kInf;
+  std::vector<NodeId> bestOwn;
+  scanSingleEdgeMoves(pv, params, scratch, res,
+                      [&](double cost, const auto& makeOwn) {
+                        if (cost < std::min(bestCost, res.currentCost) -
+                                       kCostEpsilon) {
+                          bestCost = cost;
+                          bestOwn = makeOwn();
+                        }
+                      });
   finalizeResult(pv, bestCost, bestOwn, res);
   return res;
 }
@@ -398,86 +416,19 @@ BestResponse noisyGreedyMove(const PlayerView& pv, const GameParams& params,
                              BestResponseScratch& scratch) {
   NCG_REQUIRE(temperature > 0.0, "temperature must be positive");
   BestResponse res;
-  if (prepareResult(pv, params, res)) return res;
-  const MoveSetup setup = prepareSetup(pv, scratch);
-  const std::vector<NodeId>& currentOwn = *setup.currentOwn;
-  const std::vector<NodeId>& currentSources = *setup.currentSources;
-  const std::vector<bool>& isFringe = *setup.isFringe;
-  const std::vector<bool>& isFree = *setup.isFree;
-  const std::vector<bool>& isOwn = *setup.isOwn;
-
-  removeCenterInto(pv.view.graph, pv.view.center, scratch.h0);
-  const CsrGraph& h0 = scratch.h0;
-  BfsEngine& engine = scratch.bfs;
-
-  res.currentCost =
-      params.alpha * static_cast<double>(currentOwn.size()) +
-      usageOf(h0, currentSources, params, isFringe, engine);
-  res.proposedCost = res.currentCost;
-
-  // Every strictly improving candidate, in the canonical buy → delete →
-  // swap enumeration order (the same order greedyMove resolves ties in).
+  // Every strictly improving candidate, in the scan's buy → delete →
+  // swap order.
   struct Candidate {
     double cost;
     std::vector<NodeId> own;
   };
   std::vector<Candidate> improving;
-  std::vector<NodeId> sources;
-  const auto consider = [&](std::size_t ownCount, const auto& makeOwn) {
-    const double cost = params.alpha * static_cast<double>(ownCount) +
-                        usageOf(h0, sources, params, isFringe, engine);
-    if (cost < res.currentCost - kCostEpsilon) {
-      improving.push_back({cost, makeOwn()});
-    }
-  };
-
-  sources = currentSources;
-  for (NodeId v = 0; v < setup.m0; ++v) {
-    if (isOwn[static_cast<std::size_t>(v)] ||
-        isFree[static_cast<std::size_t>(v)]) {
-      continue;
-    }
-    sources.push_back(v);
-    consider(currentOwn.size() + 1, [&] {
-      std::vector<NodeId> own = currentOwn;
-      own.push_back(v);
-      return own;
-    });
-    sources.pop_back();
-  }
-  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
-    const NodeId dropped = currentOwn[i];
-    sources = currentSources;
-    if (!isFree[static_cast<std::size_t>(dropped)]) {
-      sources.erase(std::find(sources.begin(), sources.end(), dropped));
-    }
-    consider(currentOwn.size() - 1, [&] {
-      std::vector<NodeId> own = currentOwn;
-      own.erase(own.begin() + static_cast<std::ptrdiff_t>(i));
-      return own;
-    });
-  }
-  for (std::size_t i = 0; i < currentOwn.size(); ++i) {
-    const NodeId dropped = currentOwn[i];
-    sources = currentSources;
-    if (!isFree[static_cast<std::size_t>(dropped)]) {
-      sources.erase(std::find(sources.begin(), sources.end(), dropped));
-    }
-    for (NodeId v = 0; v < setup.m0; ++v) {
-      if (v == dropped || isOwn[static_cast<std::size_t>(v)] ||
-          isFree[static_cast<std::size_t>(v)]) {
-        continue;
-      }
-      sources.push_back(v);
-      consider(currentOwn.size(), [&] {
-        std::vector<NodeId> own = currentOwn;
-        own[i] = v;
-        return own;
-      });
-      sources.pop_back();
-    }
-  }
-
+  scanSingleEdgeMoves(pv, params, scratch, res,
+                      [&](double cost, const auto& makeOwn) {
+                        if (cost < res.currentCost - kCostEpsilon) {
+                          improving.push_back({cost, makeOwn()});
+                        }
+                      });
   if (improving.empty()) return res;
 
   // Softmax over improvement depth, anchored at the best candidate so

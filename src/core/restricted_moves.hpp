@@ -12,18 +12,20 @@
 // much larger views; the ablation bench measures what that buys and what
 // equilibrium quality it costs.
 //
-// Candidate evaluation runs on a per-view distance oracle (one batched
-// all-sources BFS over H₀, then per-target best / second-best source
-// distances): a buy folds min(best[x], d_v[x]) in O(|H₀|), a delete
-// repairs only targets whose nearest source was the dropped one via the
-// second-best entry, and a swap composes the two. Every candidate is one
-// linear scan instead of a multi-source BFS, with move selection
-// bit-identical to the per-candidate-BFS reference (greedyMoveReference),
-// which the differential suite pins. The oracle's |H₀|² distance matrix
-// is only materialized for views up to a few thousand nodes; larger
-// views automatically take the O(|H₀|)-memory per-candidate-BFS route,
-// so the greedy rule keeps scaling to view sizes the exact solver never
-// could.
+// greedyMove evaluates candidates on a per-view distance oracle (one
+// batched all-sources BFS over H₀, then per-target best / second-best
+// source distances): a buy folds min(best[x], d_v[x]) in O(|H₀|), a
+// delete repairs only targets whose nearest source was the dropped one
+// via the second-best entry, and a swap composes the two. Every candidate
+// is one linear scan instead of a multi-source BFS.
+//
+// The other entry points share one per-candidate-BFS scan of the same
+// buy → delete → swap order and differ only in what they keep.
+// greedyMoveReference keeps the first strict minimum: the differential
+// suite pins the oracle's moves to it bit for bit, and greedyMove takes
+// it on views past a few thousand nodes, where the oracle's |H₀|² matrix
+// would dominate memory. noisyGreedyMove keeps every strict improvement
+// and draws one.
 #pragma once
 
 #include "core/best_response.hpp"
@@ -60,9 +62,11 @@ BestResponse greedyMoveReference(const PlayerView& pv,
 /// enumerates the same buy/delete/swap candidates as greedyMove, collects
 /// every strictly improving one, and softmax-selects among them with
 /// weight exp(-(cost_i - cost_min)/temperature) using exactly one
-/// `rng.nextDouble()` draw. temperature → 0 degrades to the greedy argmin
-/// (first-evaluated winner on ties); larger temperatures spread
-/// probability toward weaker improvements. When no candidate improves the
+/// `rng.nextDouble()` draw. As temperature → 0 the draw concentrates on
+/// the minimum cost: a unique minimum is greedyMove's move, but exact
+/// ties at the minimum are drawn uniformly, where greedyMove keeps the
+/// first one it evaluates. Larger temperatures spread probability toward
+/// weaker improvements. When no candidate improves the
 /// result is non-improving and the rng is NOT advanced — callers can rely
 /// on "one draw per accepted enumeration" for cross-engine determinism.
 BestResponse noisyGreedyMove(const PlayerView& pv, const GameParams& params,

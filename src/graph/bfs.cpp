@@ -21,28 +21,6 @@ void BfsEngine::prepare(NodeId n) {
   queue_.clear();
 }
 
-const std::vector<Dist>& BfsEngine::run(const Graph& g, NodeId source,
-                                        Dist maxDepth) {
-  return runT(g, source, maxDepth);
-}
-
-const std::vector<Dist>& BfsEngine::run(const CsrGraph& g, NodeId source,
-                                        Dist maxDepth) {
-  return runT(g, source, maxDepth);
-}
-
-const std::vector<Dist>& BfsEngine::runMulti(const Graph& g,
-                                             std::span<const NodeId> sources,
-                                             Dist maxDepth) {
-  return runMultiImpl(g, sources, maxDepth);
-}
-
-const std::vector<Dist>& BfsEngine::runMulti(const CsrGraph& g,
-                                             std::span<const NodeId> sources,
-                                             Dist maxDepth) {
-  return runMultiImpl(g, sources, maxDepth);
-}
-
 Dist BfsEngine::eccentricityOfLastRun(const Graph& g) const {
   NCG_REQUIRE(dist_.size() == static_cast<std::size_t>(g.nodeCount()),
               "engine was not run on this graph");

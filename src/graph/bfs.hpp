@@ -8,10 +8,11 @@
 // are finite, each run resets only those entries (O(visited), not O(n)),
 // which makes depth-bounded searches on large graphs near-free to set up.
 //
-// Searches run on either adjacency representation: the mutable Graph or
-// the flat CsrGraph mirror (graph/csr.hpp). Both walk neighbor lists in
-// the same order, so visit order — which downstream local-id assignment
-// depends on — is representation-independent.
+// Searches run on any adjacency with a `neighborRow`: the mutable Graph,
+// the flat CsrGraph mirror (graph/csr.hpp) or the paged out-of-core
+// backend. All walk neighbor lists in the same order, so visit order —
+// which downstream local-id assignment depends on — is
+// representation-independent.
 #pragma once
 
 #include <span>
@@ -43,62 +44,25 @@ class BfsEngine {
   /// Single-source BFS from `source`, optionally stopping at `maxDepth`
   /// (nodes farther than maxDepth keep kUnreachable). maxDepth < 0 means
   /// unbounded. Returns distances indexed by node.
-  const std::vector<Dist>& run(const Graph& g, NodeId source,
-                               Dist maxDepth = -1);
-
-  /// As above, on the flat CSR form.
-  const std::vector<Dist>& run(const CsrGraph& g, NodeId source,
-                               Dist maxDepth = -1);
+  ///
+  /// Runs on any adjacency with `nodeCount()` and a `neighborRow(g, u)`
+  /// overload found by ADL: Graph, CsrGraph and the paged out-of-core
+  /// backend (storage/paged_graph.hpp). The loop holds at most one
+  /// neighbor row at a time, so backends whose rows are only valid until
+  /// the next `neighborRow` call (a faulting, evicting pager) are safe.
+  template <typename AnyGraph>
+  const std::vector<Dist>& run(const AnyGraph& g, NodeId source,
+                               Dist maxDepth = -1) {
+    const NodeId sources[1] = {source};
+    return runMulti(g, sources, maxDepth);
+  }
 
   /// Multi-source BFS: distance to the nearest of `sources`.
   /// Requires at least one source.
-  const std::vector<Dist>& runMulti(const Graph& g,
+  template <typename AnyGraph>
+  const std::vector<Dist>& runMulti(const AnyGraph& g,
                                     std::span<const NodeId> sources,
-                                    Dist maxDepth = -1);
-
-  /// As above, on the flat CSR form.
-  const std::vector<Dist>& runMulti(const CsrGraph& g,
-                                    std::span<const NodeId> sources,
-                                    Dist maxDepth = -1);
-
-  /// Generic entry points for any adjacency backend with `nodeCount()`
-  /// and a `neighborRow(g, u)` overload (found by ADL). The paged
-  /// out-of-core backend (storage/paged_graph.hpp) runs through these;
-  /// the loop holds at most one neighbor row at a time, so backends
-  /// whose rows are only valid until the next `neighborRow` call (a
-  /// faulting, evicting pager) are safe here.
-  template <typename AnyGraph>
-  const std::vector<Dist>& runT(const AnyGraph& g, NodeId source,
-                                Dist maxDepth = -1) {
-    const NodeId sources[1] = {source};
-    return runMultiImpl(g, sources, maxDepth);
-  }
-
-  /// As runT for multiple sources. Requires at least one source.
-  template <typename AnyGraph>
-  const std::vector<Dist>& runMultiT(const AnyGraph& g,
-                                     std::span<const NodeId> sources,
-                                     Dist maxDepth = -1) {
-    return runMultiImpl(g, sources, maxDepth);
-  }
-
-  /// Distances from the last run (valid until the next run on this engine).
-  const std::vector<Dist>& distances() const { return dist_; }
-
-  /// Nodes reached by the last run, in BFS (non-decreasing distance) order.
-  const std::vector<NodeId>& visited() const { return queue_; }
-
-  /// Eccentricity of the last run's source set: max finite distance.
-  /// Returns kUnreachable if some node of g was not reached.
-  Dist eccentricityOfLastRun(const Graph& g) const;
-
- private:
-  void prepare(NodeId n);
-
-  template <typename AnyGraph>
-  const std::vector<Dist>& runMultiImpl(const AnyGraph& g,
-                                        std::span<const NodeId> sources,
-                                        Dist maxDepth) {
+                                    Dist maxDepth = -1) {
     NCG_REQUIRE(!sources.empty(), "BFS requires at least one source");
     prepare(g.nodeCount());
     for (NodeId s : sources) {
@@ -127,6 +91,19 @@ class BfsEngine {
     }
     return dist_;
   }
+
+  /// Distances from the last run (valid until the next run on this engine).
+  const std::vector<Dist>& distances() const { return dist_; }
+
+  /// Nodes reached by the last run, in BFS (non-decreasing distance) order.
+  const std::vector<NodeId>& visited() const { return queue_; }
+
+  /// Eccentricity of the last run's source set: max finite distance.
+  /// Returns kUnreachable if some node of g was not reached.
+  Dist eccentricityOfLastRun(const Graph& g) const;
+
+ private:
+  void prepare(NodeId n);
 
   std::vector<Dist> dist_;
   std::vector<NodeId> queue_;

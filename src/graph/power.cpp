@@ -41,31 +41,4 @@ std::vector<Dist> allPairsDistances(const Graph& g) {
   return matrix;
 }
 
-namespace {
-
-template <typename AnyGraph>
-void allPairsDistancesImpl(const AnyGraph& g, BfsEngine& engine,
-                           std::vector<Dist>& matrix) {
-  const auto n = static_cast<std::size_t>(g.nodeCount());
-  matrix.resize(n * n);
-  for (NodeId u = 0; u < g.nodeCount(); ++u) {
-    const auto& dist = engine.run(g, u);
-    std::copy(dist.begin(), dist.end(),
-              matrix.begin() + static_cast<std::ptrdiff_t>(
-                                   static_cast<std::size_t>(u) * n));
-  }
-}
-
-}  // namespace
-
-void allPairsDistances(const Graph& g, BfsEngine& engine,
-                       std::vector<Dist>& matrix) {
-  allPairsDistancesImpl(g, engine, matrix);
-}
-
-void allPairsDistances(const CsrGraph& g, BfsEngine& engine,
-                       std::vector<Dist>& matrix) {
-  allPairsDistancesImpl(g, engine, matrix);
-}
-
 }  // namespace ncg

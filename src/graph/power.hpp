@@ -6,10 +6,10 @@
 // both forms; the mask form feeds the set-cover solver directly.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/bfs.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 #include "support/bitset.hpp"
@@ -29,13 +29,20 @@ std::vector<DynBitset> ballMasks(const Graph& g, Dist r);
 std::vector<Dist> allPairsDistances(const Graph& g);
 
 /// As above, writing into a caller-owned matrix and reusing a BFS engine
-/// (solver hot path; zero allocations in steady state).
-void allPairsDistances(const Graph& g, BfsEngine& engine,
-                       std::vector<Dist>& matrix);
-
-/// As above on the flat CSR form — the batched all-sources pass behind
-/// the SumNCG solver and the greedy-move distance oracle.
-void allPairsDistances(const CsrGraph& g, BfsEngine& engine,
-                       std::vector<Dist>& matrix);
+/// (zero allocations in steady state), on any adjacency BfsEngine::run
+/// accepts — on the flat CSR form it is the batched all-sources pass
+/// behind the SumNCG solver and the greedy-move distance oracle.
+template <typename AnyGraph>
+void allPairsDistances(const AnyGraph& g, BfsEngine& engine,
+                       std::vector<Dist>& matrix) {
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  matrix.resize(n * n);
+  for (NodeId u = 0; u < g.nodeCount(); ++u) {
+    const auto& dist = engine.run(g, u);
+    std::copy(dist.begin(), dist.end(),
+              matrix.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(u) * n));
+  }
+}
 
 }  // namespace ncg

@@ -13,11 +13,6 @@ std::vector<NodeId> ballAround(const Graph& g, NodeId center, Dist radius) {
 
 LocalView buildView(const Graph& g, NodeId center, Dist radius) {
   BfsEngine engine;
-  return buildView(g, center, radius, engine);
-}
-
-LocalView buildView(const Graph& g, NodeId center, Dist radius,
-                    BfsEngine& engine) {
   LocalView view;
   buildView(g, center, radius, engine, view);
   return view;
@@ -36,16 +31,6 @@ void removeCenterInto(const Graph& viewGraph, NodeId center, Graph& out) {
 void removeCenterInto(const Graph& viewGraph, NodeId center, CsrGraph& out) {
   NCG_REQUIRE(center == 0, "view center must have local id 0");
   out.assignViewMinusCenter(viewGraph);
-}
-
-void buildView(const Graph& g, NodeId center, Dist radius, BfsEngine& engine,
-               LocalView& out) {
-  buildViewT(g, center, radius, engine, out);
-}
-
-void buildView(const CsrGraph& g, NodeId center, Dist radius,
-               BfsEngine& engine, LocalView& out) {
-  buildViewT(g, center, radius, engine, out);
 }
 
 }  // namespace ncg

@@ -42,38 +42,22 @@ struct LocalView {
 /// (in non-decreasing distance order; center first).
 std::vector<NodeId> ballAround(const Graph& g, NodeId center, Dist radius);
 
-/// Builds the induced subgraph on ballAround(g, center, radius).
-/// Local ids follow the BFS order, so the center is always local id 0.
-LocalView buildView(const Graph& g, NodeId center, Dist radius);
-
-/// As buildView but reusing a caller-provided BFS engine (hot path of the
-/// dynamics loop).
-LocalView buildView(const Graph& g, NodeId center, Dist radius,
-                    BfsEngine& engine);
-
-/// As above, rebuilding into a caller-owned view so the id maps and the
-/// induced graph reuse their storage (incremental dynamics cache).
-void buildView(const Graph& g, NodeId center, Dist radius, BfsEngine& engine,
-               LocalView& out);
-
-/// As above, walking the flat CSR mirror of the network (the dynamics
-/// cache keeps one in sync with its graph). Row order matches the source
-/// Graph, so the resulting view is byte-identical.
-void buildView(const CsrGraph& g, NodeId center, Dist radius,
-               BfsEngine& engine, LocalView& out);
-
-/// Generic view extraction over any adjacency backend with `nodeCount()`
-/// and an ADL-visible `neighborRow(g, u)` (the surface BfsEngine::runT
-/// consumes). The extraction loop holds at most one neighbor row at a
-/// time, so paged backends whose rows are invalidated by the next
-/// `neighborRow` call are safe. The concrete buildView overloads above
-/// delegate here, so every backend with matching row order yields a
+/// Builds the induced subgraph on ballAround(g, center, radius) into
+/// `out`, reusing its id maps and graph storage, with a caller-provided
+/// BFS engine (the dynamics hot path). Local ids follow the BFS order, so
+/// the center is always local id 0.
+///
+/// Runs on any adjacency backend with `nodeCount()` and an ADL-visible
+/// `neighborRow(g, u)` (the surface BfsEngine::run consumes). The
+/// extraction loop holds at most one neighbor row at a time, so paged
+/// backends whose rows are invalidated by the next `neighborRow` call are
+/// safe, and every backend with matching row order yields a
 /// byte-identical LocalView.
 template <typename AnyGraph>
-void buildViewT(const AnyGraph& g, NodeId center, Dist radius,
-                BfsEngine& engine, LocalView& out) {
+void buildView(const AnyGraph& g, NodeId center, Dist radius,
+               BfsEngine& engine, LocalView& out) {
   NCG_REQUIRE(radius >= 0, "view radius must be non-negative");
-  engine.runT(g, center, radius);
+  engine.run(g, center, radius);
   const std::vector<NodeId>& members = engine.visited();
 
   out.radius = radius;
@@ -102,6 +86,9 @@ void buildViewT(const AnyGraph& g, NodeId center, Dist radius,
     }
   }
 }
+
+/// As above into a fresh view, with a fresh engine (allocates per call).
+LocalView buildView(const Graph& g, NodeId center, Dist radius);
 
 /// Rebuilds `out` as the view graph minus its center — the "H₀" both
 /// best-response solvers work on (Propositions 2.1/2.2): node i of `out`

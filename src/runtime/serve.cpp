@@ -213,6 +213,26 @@ bool sendAllOn(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+/// True when a frame (or the end of the stream) can be read from `fd`
+/// within `timeoutMs`: bytes already buffered in `reader`, or the socket
+/// turning readable in time.
+bool readableWithin(int fd, const FrameReader& reader, int timeoutMs) {
+  if (reader.pendingBytes() > 0) return true;
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, timeoutMs) > 0;
+}
+
+/// True when the server has closed `fd` after sending kDone on it.
+/// Reading a closed socket never blocks.
+bool doneLeftOnClosedSocket(int fd, FrameReader& reader) {
+  pollfd p{fd, POLLIN | POLLRDHUP, 0};
+  if (::poll(&p, 1, 0) <= 0 || (p.revents & (POLLRDHUP | POLLHUP)) == 0) {
+    return false;
+  }
+  const auto frame = readFrameBlocking(fd, reader);
+  return frame.has_value() && frame->type == FrameType::kDone;
+}
+
 }  // namespace
 
 bool sendFrameBlocking(int fd, FrameType type, std::string_view payload) {
@@ -806,20 +826,26 @@ int runConnectedWorker(const Scenario& scenario, const std::string& address,
     Clock& clock =
         options.clock != nullptr ? *options.clock : steadyClock();
 
+    // Unasked, the server sends only kDone, which it broadcasts when the
+    // grid completes; then it may exit at once. So the kRetry wait reads
+    // the socket, and a lost connection is first checked for a kDone.
     bool connectionLost = false;
     while (!connectionLost) {
       if (!sendFrameBlocking(fd, FrameType::kLeaseRequest, {})) break;
-      const auto reply = readFrameBlocking(fd, reader);
+      auto reply = readFrameBlocking(fd, reader);
+      if (reply.has_value() && reply->type == FrameType::kRetry) {
+        const auto wait = decodeDecimal(reply->payload);
+        if (!readableWithin(fd, reader,
+                            static_cast<int>(std::min<std::uint64_t>(
+                                wait.value_or(50), 1000)))) {
+          continue;
+        }
+        reply = readFrameBlocking(fd, reader);
+      }
       if (!reply.has_value()) break;
       if (reply->type == FrameType::kDone) {
         ::close(fd);
         return 0;
-      }
-      if (reply->type == FrameType::kRetry) {
-        const auto wait = decodeDecimal(reply->payload);
-        sleepMs(static_cast<int>(
-            std::min<std::uint64_t>(wait.value_or(50), 1000)));
-        continue;
       }
       if (reply->type != FrameType::kLeaseGrant) break;
       const auto grant = decodeLeaseGrant(reply->payload);
@@ -888,6 +914,10 @@ int runConnectedWorker(const Scenario& scenario, const std::string& address,
         lastSend = steadyClock().nowMs();
         ++rep.unitsComputed;
       }
+    }
+    if (doneLeftOnClosedSocket(fd, reader)) {
+      ::close(fd);
+      return 0;  // the grid completed while our last frames were in flight
     }
     ::close(fd);
     ++failures;

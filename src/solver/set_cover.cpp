@@ -317,24 +317,31 @@ SetCoverResult minSetCover(const DynBitset& universe,
 
   // ---- Reduction 2: drop dominated elements. If every set covering e1
   // also covers e2, covering e1 covers e2 automatically — search only
-  // needs e1. Compare per-element "which sets cover me" signatures.
-  // After reduction 1 the kept list is nearly always <= 64 sets (on the
-  // ball-mask instances, typically ~a dozen), so the hot path packs each
-  // signature into one machine word: subset tests and popcounts become
-  // single instructions. The wide path is semantically identical.
+  // needs e1. Compare per-element "which sets cover me" signatures,
+  // packed row-major into ⌈kept/64⌉ words per element: e2 is dropped
+  // when a surviving e1 has sig(e1) ⊆ sig(e2), strictly or tie-broken by
+  // index so identical pairs drop exactly one.
   const std::size_t elementCount = universe.size();
   DynBitset& reducedUniverse = scratch.reducedUniverse;
   reducedUniverse = universe;
   std::vector<std::size_t>& active = scratch.activeElements;
   active.clear();
   universe.forEachSetBit([&active](std::size_t e) { active.push_back(e); });
-  if (keptSize <= 64) {
-    std::vector<std::uint64_t>& sig = scratch.signature64;
-    sig.assign(elementCount, 0);
-    for (std::size_t s = 0; s < keptSize; ++s) {
-      const std::uint64_t bit = std::uint64_t{1} << s;
-      kept[s].forEachSetBit([&sig, bit](std::size_t e) { sig[e] |= bit; });
-    }
+  const std::size_t sigWords = (keptSize + 63) / 64;
+  std::vector<std::uint64_t>& sig = scratch.signatureWords;
+  sig.assign(elementCount * sigWords, 0);
+  for (std::size_t s = 0; s < keptSize; ++s) {
+    const std::size_t word = s / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    kept[s].forEachSetBit(
+        [&sig, sigWords, word, bit](std::size_t e) {
+          sig[e * sigWords + word] |= bit;
+        });
+  }
+  if (sigWords == 1) {
+    // After reduction 1 the kept list nearly always fits one word (on
+    // the ball-mask instances, typically about a dozen sets), so subset
+    // tests and popcounts are single instructions.
     for (std::size_t e2 : active) {
       const std::uint64_t s2 = sig[e2];
       const int c2 = std::popcount(s2);
@@ -342,8 +349,6 @@ SetCoverResult minSetCover(const DynBitset& universe,
         if (e1 == e2) continue;
         if (!reducedUniverse.test(e1)) continue;
         const std::uint64_t s1 = sig[e1];
-        // e2 dominated by e1: sig(e1) ⊆ sig(e2), strict or tie-broken
-        // by index so identical pairs drop exactly one.
         if ((s1 & ~s2) != 0) continue;
         if (std::popcount(s1) < c2 || e1 < e2) {
           reducedUniverse.reset(e2);
@@ -351,74 +356,32 @@ SetCoverResult minSetCover(const DynBitset& universe,
         }
       }
     }
-  } else if (keptSize <= 128) {
-    // Two-word packed signatures: identical domination decisions to the
-    // single-word tier (strict subset, or equal tie-broken by index),
-    // with subset tests staying register-resident for instances of up
-    // to 128 reduced sets. Popcounts are precomputed per element so the
-    // pair loop rejects impossible dominators on one integer compare,
-    // like the wide tier's count pre-check.
-    std::vector<std::uint64_t>& sigLow = scratch.signature64;
-    std::vector<std::uint64_t>& sigHigh = scratch.signature64High;
-    sigLow.assign(elementCount, 0);
-    sigHigh.assign(elementCount, 0);
-    for (std::size_t s = 0; s < keptSize; ++s) {
-      std::vector<std::uint64_t>& half = s < 64 ? sigLow : sigHigh;
-      const std::uint64_t bit = std::uint64_t{1} << (s & 63);
-      kept[s].forEachSetBit([&half, bit](std::size_t e) { half[e] |= bit; });
-    }
-    scratch.signatureCount.resize(elementCount);
+  } else {
+    // Wider lists compare word rows. Popcounts are precomputed per
+    // element, so the pair loop rejects impossible dominators on one
+    // integer compare before it reads a row.
+    std::vector<std::size_t>& count = scratch.signatureCount;
+    count.resize(elementCount);
     for (std::size_t e : active) {
-      scratch.signatureCount[e] = static_cast<std::size_t>(
-          std::popcount(sigLow[e]) + std::popcount(sigHigh[e]));
-    }
-    for (std::size_t e2 : active) {
-      const std::uint64_t lo2 = sigLow[e2];
-      const std::uint64_t hi2 = sigHigh[e2];
-      const std::size_t c2 = scratch.signatureCount[e2];
-      for (std::size_t e1 : active) {
-        if (e1 == e2) continue;
-        if (scratch.signatureCount[e1] > c2) continue;
-        if (!reducedUniverse.test(e1)) continue;
-        const std::uint64_t lo1 = sigLow[e1];
-        const std::uint64_t hi1 = sigHigh[e1];
-        // e2 dominated by e1: sig(e1) ⊆ sig(e2), strict or tie-broken
-        // by index so identical pairs drop exactly one.
-        if (((lo1 & ~lo2) | (hi1 & ~hi2)) != 0) continue;
-        if (scratch.signatureCount[e1] < c2 || e1 < e2) {
-          reducedUniverse.reset(e2);
-          break;
-        }
+      count[e] = 0;
+      for (std::size_t w = 0; w < sigWords; ++w) {
+        count[e] += static_cast<std::size_t>(
+            std::popcount(sig[e * sigWords + w]));
       }
     }
-  } else {
-    std::vector<DynBitset>& signature = scratch.signature;
-    if (signature.size() < elementCount) signature.resize(elementCount);
-    for (std::size_t e = 0; e < elementCount; ++e) {
-      signature[e].reassign(keptSize);
-    }
-    for (std::size_t s = 0; s < keptSize; ++s) {
-      kept[s].forEachSetBit(
-          [&signature, s](std::size_t e) { signature[e].set(s); });
-    }
-    scratch.signatureCount.resize(elementCount);
-    for (std::size_t e = 0; e < elementCount; ++e) {
-      scratch.signatureCount[e] = signature[e].count();
-    }
     for (std::size_t e2 : active) {
+      const std::uint64_t* row2 = sig.data() + e2 * sigWords;
       for (std::size_t e1 : active) {
-        if (e1 == e2 || !reducedUniverse.test(e2)) continue;
+        if (e1 == e2) continue;
+        if (count[e1] > count[e2]) continue;
         if (!reducedUniverse.test(e1)) continue;
-        // e2 dominated by e1: sig(e1) ⊆ sig(e2) (strict or tie-broken by
-        // index to avoid dropping both of an identical pair). The count
-        // pre-check rejects impossible pairs without touching words.
-        if (scratch.signatureCount[e1] > scratch.signatureCount[e2]) {
-          continue;
-        }
-        if (signature[e1].isSubsetOf(signature[e2]) &&
-            (scratch.signatureCount[e1] < scratch.signatureCount[e2] ||
-             e1 < e2)) {
+        const std::uint64_t* row1 = sig.data() + e1 * sigWords;
+        std::size_t w = 0;
+        while (w < sigWords && (row1[w] & ~row2[w]) == 0) ++w;
+        if (w < sigWords) continue;
+        if (count[e1] < count[e2] || e1 < e2) {
           reducedUniverse.reset(e2);
+          break;
         }
       }
     }

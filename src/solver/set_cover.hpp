@@ -14,9 +14,9 @@
 // the instance. Both reductions run on packed machine words at every
 // instance size: set subsumption streams a flat row-major mask array
 // (two registers when the universe fits 128 bits), and element
-// domination compares one- or two-word packed signatures whenever the
-// reduced set list fits 64/128 sets, falling back to bitsets only
-// beyond that. All paths make identical decisions — the reductions are
+// domination compares per-element signatures packed into ⌈kept/64⌉
+// words, with a single-word scan for the usual case of at most 64
+// reduced sets. All paths make identical decisions — the reductions are
 // part of the solver's deterministic result contract, not heuristics.
 //
 // The solver is exact but carries an explicit exploration budget so callers
@@ -67,10 +67,9 @@ struct SetCoverScratch {
   std::vector<std::int32_t> coverStart;  ///< flat element→sets index rows
   std::vector<std::int32_t> coverCursor;
   std::vector<int> coverData;
-  std::vector<DynBitset> signature;    ///< per-element covering-set masks
-  std::vector<std::uint64_t> signature64;  ///< packed form when kept <= 64
-  std::vector<std::uint64_t> signature64High;  ///< second word, kept <= 128
-  std::vector<std::size_t> signatureCount;
+  /// Per-element covering-set masks, ⌈kept/64⌉ words each, row-major.
+  std::vector<std::uint64_t> signatureWords;
+  std::vector<std::size_t> signatureCount;  ///< popcounts (> 64 kept)
   DynBitset reducedUniverse;
   DynBitset greedyUncovered;
   std::vector<std::size_t> greedyCounts;

@@ -5,7 +5,7 @@
 // in-RAM pipeline handles. The loop is a template over a *backend*
 // providing the three capabilities the engine needs:
 //
-//   graph()     — adjacency satisfying buildViewT's surface
+//   graph()     — adjacency satisfying buildView's surface
 //   strategy()  — profile concept (playerCount/boughtCount/strategyOf)
 //   applyStrategy(u, σ'_u) — commit a move
 //
@@ -101,8 +101,8 @@ PagedDynamicsResult runPagedGreedyDynamics(Backend& backend,
     bool improvedAny = false;
     double costSum = 0.0;
     for (NodeId u : config.active) {
-      buildPlayerViewT(backend.graph(), backend.strategy(), u,
-                       config.params.k, engine, pv);
+      buildPlayerView(backend.graph(), backend.strategy(), u,
+                      config.params.k, engine, pv);
       const BestResponse move =
           greedyMove(pv, config.params.forPlayer(u), scratch);
       costSum += move.currentCost;

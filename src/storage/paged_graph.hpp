@@ -1,8 +1,8 @@
 // PagedGraph: the adjacency surface of a CsrArena under a byte budget.
 //
 // The adapter satisfies the access surface the engine's generic layers
-// consume — `nodeCount()` plus an ADL `neighborRow` (BfsEngine::runT,
-// buildViewT, buildPlayerViewT) — while keeping only a bounded set of
+// consume — `nodeCount()` plus an ADL `neighborRow` (BfsEngine::run,
+// buildView, buildPlayerView) — while keeping only a bounded set of
 // arena partitions resident. Access faults a partition in (CRC-verified
 // once per open by the arena), an explicit LRU with a byte budget
 // (`NCG_ARENA_BUDGET`) decides what stays, and eviction is
@@ -93,7 +93,7 @@ class PagedGraph {
   mutable PagedGraphStats stats_;
 };
 
-/// ADL hook: lets BfsEngine::runT / buildViewT / buildPlayerViewT walk a
+/// ADL hook: lets BfsEngine::run / buildView / buildPlayerView walk a
 /// PagedGraph exactly like a Graph or CsrGraph.
 inline std::span<const NodeId> neighborRow(const PagedGraph& g, NodeId u) {
   return g.neighbors(u);
@@ -102,7 +102,7 @@ inline std::span<const NodeId> neighborRow(const PagedGraph& g, NodeId u) {
 /// Profile-concept adapter over the arena's ownership plane: σ_u is the
 /// set of neighbors whose arc u bought. strategyOf materializes into an
 /// internal scratch buffer — the returned span is valid until the next
-/// strategyOf call (the access pattern buildPlayerViewT guarantees).
+/// strategyOf call (the access pattern buildPlayerView guarantees).
 class ArenaStrategyView {
  public:
   explicit ArenaStrategyView(const PagedGraph& graph) : graph_(&graph) {}

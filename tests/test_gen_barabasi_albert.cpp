@@ -96,7 +96,7 @@ TEST(BarabasiAlbert, ArenaIsConnectedAndDuplicateFree) {
   arena.open(path);
   PagedGraph paged(arena);
   BfsEngine engine;
-  const std::vector<Dist>& dist = engine.runT(paged, 0);
+  const std::vector<Dist>& dist = engine.run(paged, 0);
   EXPECT_EQ(std::count(dist.begin(), dist.end(), kUnreachable), 0);
   arena.close();
   std::remove(path.c_str());

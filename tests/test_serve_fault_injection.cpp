@@ -243,6 +243,67 @@ TEST(ServeFaultInjection, SeededWorkerKillsAndServerRestartStayBitExact) {
   std::remove(manifest.c_str());
 }
 
+/// Two units, the second slow: whichever worker finishes the first one
+/// asks again while the second is leased out and is told kRetry, so it
+/// is idle when the grid completes.
+const Scenario& slowTailScenario() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    Scenario s;
+    s.name = "serve_slow_tail_fixture";
+    s.description = "test fixture";
+    s.metricNames = {"trial"};
+    s.makePoints = [] {
+      ScenarioPoint point;
+      point.params = {{"k", 1.0}};
+      point.baseSeed = 0x51017ULL;
+      point.trials = 2;
+      return std::vector<ScenarioPoint>{point};
+    };
+    s.runTrialFn = [](const ScenarioPoint&, int trial, Rng&) {
+      if (trial == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      }
+      return std::vector<double>{static_cast<double>(trial)};
+    };
+    registerScenario(std::move(s));
+  });
+  return *findScenario("serve_slow_tail_fixture");
+}
+
+TEST(ServeFaultInjection, IdleWorkersHearDoneFromAServerThatDoesNotLinger) {
+  const Scenario& scenario = slowTailScenario();
+  ServeOptions options;
+  options.address = "unix:" + ::testing::TempDir() + "ncg_no_linger.sock";
+  options.heartbeatMs = 4000;  // kRetry then suggests a 1000 ms wait
+  options.shardSize = 1;
+  options.lingerMs = 0;  // exit the moment the grid completes
+  WorkerOptions workerOptions;  // give up at once on a vanished server
+  workerOptions.connectAttempts = 1;
+  workerOptions.connectDelayMs = 10;
+  workerOptions.retryBudget = 1;
+
+  std::vector<int> exits(2, -1);
+  std::vector<WorkerReport> reports(2);
+  std::vector<std::thread> fleet;
+  {
+    ShardServer server(scenario, options);
+    const std::string address = server.address();
+    for (std::size_t w = 0; w < 2; ++w) {
+      fleet.emplace_back([&, address, w] {
+        exits[w] = runConnectedWorker(scenario, address, workerOptions,
+                                      &reports[w]);
+      });
+    }
+    server.serveUntilComplete();
+    EXPECT_TRUE(server.complete());
+  }  // the server is gone: every socket is closed
+  for (std::thread& t : fleet) t.join();
+  EXPECT_EQ(exits[0], 0);
+  EXPECT_EQ(exits[1], 0);
+  EXPECT_EQ(reports[0].reconnects + reports[1].reconnects, 0U);
+}
+
 TEST(ServeFaultInjection, ReLeasedShardCompletingTwiceIsDeduped) {
   const Scenario& scenario = faultScenario();
   const std::string manifest =

@@ -1,7 +1,12 @@
 // Tests for the exact set-cover solver (the Gurobi substitute).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+
 #include "gen/classic.hpp"
+#include "gen/random_tree.hpp"
 #include "graph/power.hpp"
 #include "solver/set_cover.hpp"
 #include "support/random.hpp"
@@ -346,6 +351,145 @@ TEST(SetCover, SharedScratchMatchesFreshScratch) {
     EXPECT_EQ(greedyShared.feasible, greedyFresh.feasible);
     EXPECT_EQ(greedyShared.chosen, greedyFresh.chosen);
   }
+}
+
+// ---- The wide tiers. The instances above stop at 23 sets and 66
+// elements; the views of the dynamics rarely reduce to more than 64
+// sets. This seeded corpus has 65–200 reduced sets over 129–300-bit
+// universes, so it reaches the multi-word element-domination scan and
+// the flat subsumption scan.
+
+/// Sets left by reduction 1 (empty, duplicate and subsumed sets
+/// dropped), counted the naive way.
+std::size_t reducedSetCount(const std::vector<DynBitset>& sets) {
+  std::vector<std::size_t> order(sets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&sets](std::size_t a, std::size_t b) {
+                     return sets[a].count() > sets[b].count();
+                   });
+  std::vector<std::size_t> kept;
+  for (const std::size_t i : order) {
+    if (sets[i].none()) continue;
+    const bool subsumed =
+        std::any_of(kept.begin(), kept.end(), [&](std::size_t k) {
+          return sets[i].isSubsetOf(sets[k]);
+        });
+    if (!subsumed) kept.push_back(i);
+  }
+  return kept.size();
+}
+
+struct WideInstance {
+  DynBitset universe;
+  std::vector<DynBitset> sets;
+  std::size_t cap = SIZE_MAX;
+  std::size_t reduced = 0;
+};
+
+/// Alternates random-density sets with the radius-1/2 ball masks of
+/// sparse connected graphs (the shape of the best-response reduction,
+/// where many sets and elements are dominated), keeping instances whose
+/// reduced set list has 65–200 sets.
+std::vector<WideInstance> wideCorpus() {
+  Rng rng(4101);
+  std::vector<WideInstance> corpus;
+  while (corpus.size() < 48) {
+    WideInstance inst;
+    const std::size_t bits = 129 + rng.nextBounded(172);
+    if (corpus.size() % 2 == 0) {
+      const std::size_t count = 70 + rng.nextBounded(140);
+      const double density = 0.03 + 0.01 * static_cast<double>(rng.nextBounded(8));
+      DynBitset covered(bits);
+      for (std::size_t s = 0; s < count; ++s) {
+        DynBitset mask(bits);
+        for (std::size_t e = 0; e < bits; ++e) {
+          if (rng.nextBernoulli(density)) mask.set(e);
+        }
+        covered |= mask;
+        inst.sets.push_back(mask);
+      }
+      inst.universe = DynBitset(bits);
+      for (std::size_t e = 0; e < bits; ++e) {
+        if (covered.test(e) && rng.nextBernoulli(0.9)) inst.universe.set(e);
+      }
+    } else {
+      const auto n = static_cast<NodeId>(bits);
+      Graph g = makeRandomTree(n, rng);
+      for (NodeId extra = 0; extra < n / 8; ++extra) {
+        const auto u = static_cast<NodeId>(rng.nextBounded(bits));
+        const auto v = static_cast<NodeId>(rng.nextBounded(bits));
+        if (u != v) (void)g.addEdge(u, v);
+      }
+      inst.sets = ballMasks(g, 1 + static_cast<Dist>(rng.nextBounded(2)));
+      inst.universe = fullUniverse(bits);
+    }
+    inst.reduced = reducedSetCount(inst.sets);
+    if (inst.reduced < 65 || inst.reduced > 200) continue;
+    inst.cap = corpus.size() % 3 == 0 ? 6 + corpus.size() % 11 : SIZE_MAX;
+    corpus.push_back(std::move(inst));
+  }
+  return corpus;
+}
+
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFF;
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(SetCover, WideTiersCoverAndMatchTheirRecordedOutcomes) {
+  constexpr std::uint64_t kBudget = 5000;
+  const std::vector<WideInstance> corpus = wideCorpus();
+  SetCoverScratch shared;
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  std::size_t twoWord = 0;
+  std::size_t wider = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const WideInstance& inst = corpus[i];
+    (inst.reduced <= 128 ? twoWord : wider) += 1;
+    const auto viaShared =
+        minSetCover(inst.universe, inst.sets, kBudget, inst.cap, shared);
+    const auto fresh = minSetCover(inst.universe, inst.sets, kBudget, inst.cap);
+    ASSERT_TRUE(viaShared.feasible) << "instance " << i;
+    // The greedy-meets-bound shortcut returns before the element
+    // reduction; every corpus instance must get past it.
+    EXPECT_GT(viaShared.nodesExplored, 0U) << "instance " << i;
+    EXPECT_EQ(viaShared.chosen, fresh.chosen) << "instance " << i;
+    EXPECT_EQ(viaShared.nodesExplored, fresh.nodesExplored) << "instance " << i;
+    EXPECT_EQ(viaShared.optimal, fresh.optimal) << "instance " << i;
+    EXPECT_EQ(viaShared.withinCap, fresh.withinCap) << "instance " << i;
+
+    DynBitset covered(inst.universe.size());
+    for (const int index : viaShared.chosen) {
+      covered |= inst.sets[static_cast<std::size_t>(index)];
+    }
+    EXPECT_TRUE(inst.universe.isSubsetOf(covered)) << "instance " << i;
+
+    hash = fnv1a(hash, viaShared.chosen.size());
+    for (const int index : viaShared.chosen) {
+      hash = fnv1a(hash, static_cast<std::uint64_t>(index));
+    }
+    hash = fnv1a(hash, viaShared.nodesExplored);
+    hash = fnv1a(hash, viaShared.optimal ? 1 : 0);
+    hash = fnv1a(hash, viaShared.withinCap ? 1 : 0);
+
+    // A narrow solve between two wide ones reuses the wide buffers.
+    const auto narrow = minSetCover(fullUniverse(9), {maskOf(9, {0, 1, 2, 3}),
+                                                      maskOf(9, {3, 4, 5}),
+                                                      maskOf(9, {5, 6, 7, 8}),
+                                                      maskOf(9, {0, 8})},
+                                    0, SIZE_MAX, shared);
+    EXPECT_EQ(narrow.chosen.size(), 3U);
+  }
+  EXPECT_EQ(twoWord, 17U);
+  EXPECT_EQ(wider, 31U);
+  // (chosen, nodesExplored, optimal, withinCap) over the corpus, recorded
+  // while the 65–128-set two-word tier and the bitset tier still decided
+  // element domination: one multi-word scan must decide it identically.
+  EXPECT_EQ(hash, 0x6F3CE84A42F03078ULL);
 }
 
 }  // namespace

@@ -88,9 +88,9 @@ TEST(PagedGraph, BfsMatchesGraphAndCsrOnSeededSweep) {
       BfsEngine engineB;
       BfsEngine engineC;
       for (NodeId s = 0; s < inst.graph.nodeCount(); s += 7) {
-        const std::vector<Dist> viaGraph = engineA.runT(inst.graph, s);
-        EXPECT_EQ(engineB.runT(csr, s), viaGraph);
-        EXPECT_EQ(engineC.runT(paged, s), viaGraph);
+        const std::vector<Dist> viaGraph = engineA.run(inst.graph, s);
+        EXPECT_EQ(engineB.run(csr, s), viaGraph);
+        EXPECT_EQ(engineC.run(paged, s), viaGraph);
         // Same visit order too: rows are canonical on every backend.
         EXPECT_EQ(engineB.visited(), engineA.visited());
         EXPECT_EQ(engineC.visited(), engineA.visited());
@@ -116,8 +116,8 @@ TEST(PagedGraph, ViewsMatchGraphForAllK) {
   LocalView pagedView;
   for (const Dist k : {1, 2, 3}) {
     for (NodeId u = 0; u < inst.graph.nodeCount(); u += 5) {
-      buildViewT(inst.graph, u, k, engineA, ramView);
-      buildViewT(paged, u, k, engineB, pagedView);
+      buildView(inst.graph, u, k, engineA, ramView);
+      buildView(paged, u, k, engineB, pagedView);
       EXPECT_TRUE(sameView(ramView, pagedView)) << "k=" << k << " u=" << u;
     }
   }
@@ -141,8 +141,8 @@ TEST(PagedGraph, PlayerViewsMatchProfileForAllK) {
   PlayerView pagedPv;
   for (const Dist k : {1, 2, 3}) {
     for (NodeId u = 0; u < inst.graph.nodeCount(); u += 3) {
-      buildPlayerViewT(inst.graph, inst.profile, u, k, engineA, ramPv);
-      buildPlayerViewT(paged, arenaProfile, u, k, engineB, pagedPv);
+      buildPlayerView(inst.graph, inst.profile, u, k, engineA, ramPv);
+      buildPlayerView(paged, arenaProfile, u, k, engineB, pagedPv);
       EXPECT_TRUE(sameView(ramPv.view, pagedPv.view));
       EXPECT_EQ(ramPv.alphaBought, pagedPv.alphaBought);
       EXPECT_EQ(ramPv.ownBoughtLocal, pagedPv.ownBoughtLocal);
@@ -173,7 +173,7 @@ TEST(PagedGraph, BudgetEvictsButNeverChangesAnswers) {
   BfsEngine engineA;
   BfsEngine engineB;
   for (NodeId s = 0; s < inst.graph.nodeCount(); s += 4) {
-    EXPECT_EQ(engineB.runT(tight, s), engineA.runT(unlimited, s));
+    EXPECT_EQ(engineB.run(tight, s), engineA.run(unlimited, s));
   }
   EXPECT_GT(tight.stats().evictions, 0u);
   EXPECT_EQ(unlimited.stats().evictions, 0u);
